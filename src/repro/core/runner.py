@@ -326,85 +326,45 @@ def run(
             )
         chaos.attach(built, backend=backend, machine=machine)
 
-    if backend == "threads":
+    if backend == "sim":
+        executor = Engine(
+            built.graph,
+            machine,
+            policy=policy,
+            execute=with_kernels,
+            overlap=overlap,
+            trace=trace,
+            metrics=metrics,
+            chaos=chaos,
+        )
+    else:
+        mesh = {"procs": machine.nodes} if backend == "processes" else {}
         if executor_factory is not None:
             executor = executor_factory(
-                built.graph, backend="threads", jobs=jobs, policy=policy,
-                trace=trace, metrics=metrics,
+                built.graph, backend=backend, jobs=jobs, policy=policy,
+                trace=trace, metrics=metrics, **mesh,
             )
         else:
-            from ..exec.executor import ThreadedExecutor
+            from ..exec import ProcessExecutor, ThreadedExecutor
 
-            executor = ThreadedExecutor(
+            executor = (ProcessExecutor if mesh else ThreadedExecutor)(
                 built.graph, jobs=jobs, policy=policy, trace=trace,
-                metrics=metrics,
+                metrics=metrics, **mesh,
             )
-        if on_executor is not None:
-            on_executor(executor)
-        report = executor.run()
-        _publish_critpath(metrics, report, built.graph)
-        params.update(backend="threads", jobs=executor.jobs)
-        grid = built.assemble_grid(report.results)
-        return RunResult(
-            impl=impl,
-            problem=problem,
-            machine=machine,
-            engine=report,
-            params=params,
-            grid=grid,
-            graph=built.graph,
-            pass_reports=pipe_report,
-        )
-
-    if backend == "processes":
-        if executor_factory is not None:
-            executor = executor_factory(
-                built.graph, backend="processes", procs=machine.nodes,
-                jobs=jobs, policy=policy, trace=trace, metrics=metrics,
-            )
-        else:
-            from ..exec.procs import ProcessExecutor
-
-            executor = ProcessExecutor(
-                built.graph, procs=machine.nodes, jobs=jobs, policy=policy,
-                trace=trace, metrics=metrics,
-            )
-        if chaos is not None:
-            # Forked node processes inherit the context (and its wrapped
-            # kernels) in memory; couriers consult it for drop faults and
-            # the watcher stamps NodeLostError with the latest checkpoint.
-            executor.chaos = chaos
-            executor.checkpoint_store = chaos.store
-        if on_executor is not None:
-            on_executor(executor)
-        report = executor.run()
-        _publish_critpath(metrics, report, built.graph)
-        params.update(backend="processes", procs=executor.procs, jobs=executor.jobs)
-        grid = built.assemble_grid(report.results)
-        return RunResult(
-            impl=impl,
-            problem=problem,
-            machine=machine,
-            engine=report,
-            params=params,
-            grid=grid,
-            graph=built.graph,
-            pass_reports=pipe_report,
-        )
-
-    engine = Engine(
-        built.graph,
-        machine,
-        policy=policy,
-        execute=with_kernels,
-        overlap=overlap,
-        trace=trace,
-        metrics=metrics,
-        chaos=chaos,
-    )
+        params["backend"] = backend
+        if mesh:
+            if chaos is not None:
+                # Forked node processes inherit the context (and its
+                # wrapped kernels) in memory; couriers consult it for
+                # drop faults and the watcher stamps NodeLostError with
+                # the latest checkpoint.
+                executor.chaos = chaos
+                executor.checkpoint_store = chaos.store
+            params["procs"] = executor.procs
+        params["jobs"] = executor.jobs
     if on_executor is not None:
-        on_executor(engine)
-    report = engine.run()
+        on_executor(executor)
+    report = executor.run()
     _publish_critpath(metrics, report, built.graph)
     grid = built.assemble_grid(report.results) if with_kernels else None
     return RunResult(

@@ -1,29 +1,20 @@
-"""Shared-memory parallel executor for finalized task graphs.
+"""Shared-memory thread pool for finalized, kernel-carrying task graphs.
 
-This is the "real hardware" counterpart of the discrete-event
-simulator in :mod:`repro.runtime.engine`: it runs the *same*
-:class:`~repro.runtime.graph.TaskGraph` objects (base-PaRSEC,
-CA-PaRSEC, PETSc-lite -- any graph whose tasks carry kernels) on a
-pool of worker threads.  The numpy kernels release the GIL, so tiles
-genuinely execute concurrently on multiple cores.
-
-Structure, in the style of high-throughput executors (Parsl's HTEX,
+The real-hardware counterpart of :mod:`repro.runtime.engine`: the same
+dataflow core (:mod:`repro.runtime.flow`, every edge local) driven by
+worker threads instead of a virtual clock.  The numpy kernels release
+the GIL, so tiles genuinely execute concurrently.  What this module
+owns, in the style of high-throughput executors (Parsl's HTEX,
 PaRSEC's per-core queues):
 
-* the ready set is seeded from the in-degree-0 tasks, distributed
-  round-robin over per-worker queues;
-* each worker drains its own queue and *steals* from its neighbours
-  when empty (:mod:`repro.exec.policies` selects the discipline);
-* completing a task publishes its outputs into a refcounted payload
-  store and releases its consumers' dependency counts; tasks reaching
-  zero become ready on the completing worker's queue (data-locality:
-  the consumer's inputs are cache-hot there);
-* one mutex guards the bookkeeping only -- kernels run outside it.
+* per-worker ready queues seeded round-robin, with work stealing
+  (:mod:`repro.exec.policies` selects the discipline); newly-ready
+  consumers land on the completing worker's queue (cache locality);
+* one mutex around the flow state -- kernels run outside it;
+* the wall-clock recorder, run handle, futures and cancellation.
 
-The report mirrors :class:`~repro.runtime.engine.EngineReport` (it
-*is* one, extended), so :class:`~repro.core.report.RunResult`, the
-occupancy/Gantt analyses and the Chrome-trace exporter all work
-unchanged on measured runs.
+The report *is* an :class:`~repro.runtime.engine.EngineReport`,
+extended, so every analysis and exporter works on measured runs.
 """
 
 from __future__ import annotations
@@ -32,13 +23,12 @@ import os
 import threading
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from ..obs import trace_validation_enabled
 from ..obs.metrics import MetricRegistry, MetricsSnapshot
-from ..runtime.engine import EngineReport, KernelError
+from ..runtime.engine import EngineReport
+from ..runtime.flow import FlowState, KernelError, publish_counts, run_kernel
 from ..runtime.graph import TaskGraph
-from ..runtime.task import Task, TaskKey
+from ..runtime.task import Task
 from .futures import RunCancelled, RunHandle, TaskRecord
 from .policies import make_work_queues
 from .wallclock_trace import HOST_NODE, WallClockRecorder
@@ -49,16 +39,6 @@ def default_jobs() -> int:
     return os.cpu_count() or 1
 
 
-def max_flow_bytes(graph: TaskGraph, producer: TaskKey, tag: str) -> int:
-    """Largest payload size any consumer declared for (producer, tag)."""
-    biggest = 0
-    for consumer_key in graph.consumers.get((producer, tag), ()):
-        for flow in graph[consumer_key].inputs:
-            if flow.producer == producer and flow.tag == tag:
-                biggest = max(biggest, flow.nbytes)
-    return biggest
-
-
 def ensure_executable(graph: TaskGraph, backend: str = "threads") -> None:
     """Refuse timing-only graphs up front: a task without a kernel can
     satisfy control edges only (zero-byte flows).  Shared by every
@@ -67,7 +47,7 @@ def ensure_executable(graph: TaskGraph, backend: str = "threads") -> None:
         if task.kernel is not None:
             continue
         for tag in graph.out_tags.get(task.key, ()):
-            if task.out_nbytes.get(tag, 0) or max_flow_bytes(graph, task.key, tag):
+            if (task.key, tag) not in graph.control_outputs():
                 raise ValueError(
                     f"task {task.key!r} has no kernel but consumers expect "
                     f"payload {tag!r}; the {backend} backend needs a graph "
@@ -152,25 +132,17 @@ class ThreadedExecutor:
         self._lock = threading.Lock()
         self._work_ready = threading.Condition(self._lock)
         self._reset_state()
-        self._check_executable()
+        ensure_executable(graph, backend="threads")
 
     def _reset_state(self) -> None:
         """(Re)initialise every piece of per-run state, so one
         executor instance can run graph after graph on a warm pool."""
-        #: per-worker kind tallies; worker ``w`` is the only writer of
-        #: slot ``w``, so recording is lock-free like the recorder lanes
-        self._kind_counts: list[dict[str, int]] | None = (
-            [{} for _ in range(self.jobs)] if self.metrics is not None else None
-        )
         self._queues = make_work_queues(self.policy, self.jobs)
 
-        # Bookkeeping shared by all workers, guarded by _lock.
-        self._pending: dict[TaskKey, int] = {}
-        self._release: dict[TaskKey, list[TaskKey]] = {}
-        self._store: dict[tuple[TaskKey, str], list] = {}
-        self._refcount: dict[tuple[TaskKey, str], int] = {}
-        self._results: dict[tuple[TaskKey, str], object] = {}
-        self._completed: set[TaskKey] = set()
+        # Bookkeeping shared by all workers, guarded by _lock; the
+        # dataflow state is built by start().
+        self._flow: FlowState | None = None
+        self._completed: set = set()
         self._unfinished = len(self.graph)
         self._steals = 0
         self._failure: BaseException | None = None
@@ -205,7 +177,7 @@ class ThreadedExecutor:
             graph.finalize()
             self.graph = graph
         self._reset_state()
-        self._check_executable()
+        ensure_executable(self.graph, backend="threads")
         return self
 
     def is_healthy(self) -> bool:
@@ -216,29 +188,11 @@ class ThreadedExecutor:
             return True
         return self._failure is None and not self._cancelled
 
-    # -- validation -----------------------------------------------------
-
-    def _check_executable(self) -> None:
-        ensure_executable(self.graph, backend="threads")
-
-    def _max_flow_bytes(self, producer: TaskKey, tag: str) -> int:
-        return max_flow_bytes(self.graph, producer, tag)
-
     # -- setup -----------------------------------------------------------
 
-    def _prepare(self) -> list[Task]:
-        """Build pending counts, release lists and payload refcounts;
-        returns the in-degree-0 seed tasks in graph order."""
-        seeds: list[Task] = []
-        for task in self.graph:
-            self._pending[task.key] = len(task.inputs)
-            for flow in task.inputs:
-                self._release.setdefault(flow.producer, []).append(task.key)
-                key = (flow.producer, flow.tag)
-                self._refcount[key] = self._refcount.get(key, 0) + 1
-            if not task.inputs:
-                seeds.append(task)
-        return seeds
+    def _flow_state(self) -> FlowState:
+        """The run's dataflow state: the whole graph, every edge local."""
+        return FlowState(self.graph, local=True)
 
     def _seed(self, seeds: list[Task]) -> None:
         for idx, task in enumerate(self._queues.seed_order(seeds)):
@@ -255,7 +209,9 @@ class ThreadedExecutor:
             )
         self._started = True
         self._handle = RunHandle(self._request_cancel)
-        self._seed(self._prepare())
+        self._flow = self._flow_state()
+        self._unfinished = len(self._flow.tasks)
+        self._seed(self._flow.seeds())
         self._t_begin = self._recorder.start()
         self._threads = [
             threading.Thread(
@@ -308,12 +264,9 @@ class ThreadedExecutor:
         if reg is None:
             return None
         node = self.metrics_node
-        tasks = reg.counter("tasks_executed_total",
-                            "tasks executed, by kind", "tasks")
-        assert self._kind_counts is not None
-        for kinds in self._kind_counts:
-            for kind, count in kinds.items():
-                tasks.inc(count, kind=kind)
+        # A report is built only once every task in scope completed, so
+        # the graph's counts are exact.
+        publish_counts(reg, self._flow)
         if self._steals:
             reg.counter("tasks_stolen_total",
                         "tasks acquired by work stealing", "tasks").inc(
@@ -324,8 +277,6 @@ class ThreadedExecutor:
             busy.inc(seconds, node=node, worker=wid)
         reg.gauge("run_elapsed_seconds",
                   "wall-clock makespan of the run", "seconds").set(elapsed)
-        reg.gauge("tasks_total", "tasks in the executed graph",
-                  "tasks").set(len(self.graph))
         reg.gauge("workers_per_node", "worker threads per node/process",
                   "workers").set(self.jobs)
         return reg.snapshot()
@@ -350,8 +301,6 @@ class ThreadedExecutor:
         elapsed = self._t_end - self._t_begin
         useful, redundant = self.graph.total_flops()
         worker_busy = self._recorder.busy_per_worker()
-        local_edges = sum(len(t.inputs) for t in self.graph)
-        local_bytes = sum(f.nbytes for t in self.graph for f in t.inputs)
         trace = self._recorder.to_trace() if self.want_trace else None
         if trace is not None and trace_validation_enabled():
             trace.validate()
@@ -360,15 +309,15 @@ class ThreadedExecutor:
             tasks_run=len(self._completed),
             messages=0,
             message_bytes=0,
-            local_edges=local_edges,
-            local_bytes=local_bytes,
+            local_edges=self._flow.local_edges,
+            local_bytes=self._flow.local_bytes,
             useful_flops=useful,
             redundant_flops=redundant,
             node_busy={HOST_NODE: sum(worker_busy.values())},
             comm_busy={},
             max_comm_backlog=0,
             trace=trace,
-            results=self._results,
+            results=self._flow.results,
             metrics=self._publish_metrics(elapsed),
             jobs=self.jobs,
             policy=self.policy,
@@ -398,19 +347,18 @@ class ThreadedExecutor:
 
     def _worker(self, wid: int) -> None:
         recorder = self._recorder
+        flow = self._flow
         while True:
             task = self._next_task(wid)
             if task is None:
                 return
             try:
                 with self._lock:
-                    inputs = self._gather_inputs(task)
+                    inputs = flow.gather(task)
                 start = recorder.now()
-                outputs = (
-                    dict(task.kernel(inputs, task)) if task.kernel is not None else {}
-                )
+                outputs = run_kernel(task, inputs)
                 end = recorder.now()
-                self._publish(task, outputs, wid)
+                self._publish(task, flow.check(task, outputs), wid)
             except Exception as exc:  # noqa: BLE001 - forwarded to the handle
                 if not isinstance(exc, KernelError):
                     exc = KernelError(
@@ -423,9 +371,6 @@ class ThreadedExecutor:
                     self._work_ready.notify_all()
                 return
             recorder.record(wid, task.kind, start, end, task.key, task_id=task.key)
-            if self._kind_counts is not None:
-                kinds = self._kind_counts[wid]
-                kinds[task.kind] = kinds.get(task.kind, 0) + 1
             handle = self._handle
             if handle is not None:
                 handle._record_done(
@@ -441,63 +386,22 @@ class ThreadedExecutor:
 
     # -- dataflow bookkeeping ---------------------------------------------------
 
-    def _gather_inputs(self, task: Task) -> dict[tuple[TaskKey, str], object]:
-        inputs: dict[tuple[TaskKey, str], object] = {}
-        for flow in task.inputs:
-            key = (flow.producer, flow.tag)
-            entry = self._store.get(key)
-            if entry is None:
-                raise RuntimeError(
-                    f"payload {key!r} missing when task {task.key!r} started"
-                )
-            inputs[key] = entry[0]
-        return inputs
-
-    def _expected_outputs(self, task: Task, outputs: dict) -> dict:
-        """Same contract as the simulator: every consumed tag must be
-        produced; zero-byte control edges are auto-filled with None."""
-        expected = set(self.graph.out_tags.get(task.key, ()))
-        missing = expected - set(outputs)
-        for tag in missing:
-            if task.out_nbytes.get(tag, 0) == 0 and self._max_flow_bytes(task.key, tag) == 0:
-                outputs[tag] = None
-            else:
-                raise RuntimeError(
-                    f"task {task.key!r} produced tags {sorted(set(outputs))} "
-                    f"but consumers expect {sorted(expected)}"
-                )
-        return outputs
+    def _send(self, task: Task, outputs: dict) -> None:
+        """Ship ``task``'s remote copies; a single pool has none."""
 
     def _publish(self, task: Task, outputs: dict, wid: int) -> None:
-        """Store outputs, free inputs, release consumers -- one
-        critical section; newly-ready tasks land on worker ``wid``."""
-        outputs = self._expected_outputs(task, outputs)
-        for payload in outputs.values():
-            if isinstance(payload, np.ndarray):
-                payload.setflags(write=False)  # catch cross-thread mutation
-        woke = False
+        """Ship remote copies, then store outputs, free inputs and
+        release consumers in one critical section; newly-ready tasks
+        land on worker ``wid``."""
+        self._send(task, outputs)
         with self._work_ready:
-            for tag, payload in outputs.items():
-                key = (task.key, tag)
-                refs = self._refcount.get(key, 0)
-                if refs == 0:
-                    self._results[key] = payload  # terminal output
-                else:
-                    self._store[key] = [payload, refs]
-            for flow in task.inputs:
-                key = (flow.producer, flow.tag)
-                entry = self._store[key]
-                entry[1] -= 1
-                if entry[1] == 0:
-                    del self._store[key]
+            self._flow.publish(task, outputs)
             self._completed.add(task.key)
             self._unfinished -= 1
-            for consumer_key in self._release.get(task.key, ()):
-                self._pending[consumer_key] -= 1
-                if self._pending[consumer_key] == 0:
-                    self._queues.push(wid, self.graph[consumer_key])
-                    woke = True
-            if woke or self._unfinished == 0:
+            ready = self._flow.release(task.key)
+            for consumer in ready:
+                self._queues.push(wid, consumer)
+            if ready or self._unfinished == 0:
                 self._work_ready.notify_all()
 
 
@@ -521,5 +425,4 @@ __all__ = [
     "default_jobs",
     "ensure_executable",
     "execute",
-    "max_flow_bytes",
 ]

@@ -1,48 +1,29 @@
 """Multiprocess execution backend: real IPC halo exchange.
 
-Where :class:`~repro.exec.executor.ThreadedExecutor` runs a whole task
-graph inside one address space (so "communication" is a pointer hand
-over), this backend makes the paper's cost observable: every simulated
-cluster *node* becomes a real OS process that owns exactly the tasks
-placed on that node, and every node-boundary ghost flow becomes a real
-pickled message travelling through a ``multiprocessing`` pipe.  The
-base-vs-CA message-count gap -- the whole point of communication
-avoidance -- is therefore measured, not modelled: CA sends ~``s``x
-fewer inter-process messages for the same problem.
+Every simulated cluster *node* becomes a real OS process owning the
+tasks placed on that node, and every message of the graph's flow plan
+(one per producer, tag and destination node -- the census unit)
+becomes a real pickled frame through a ``multiprocessing`` pipe, so
+the base-vs-CA message gap is measured, not modelled.  Each child runs
+a :class:`_NodeExecutor`: the thread pool of
+:mod:`repro.exec.executor` over a one-node scope of the dataflow core.
 
-Topology and roles
-------------------
+What this module owns is transport and process lifecycle:
 
-* the parent builds a full mesh of duplex pipes between the ``procs``
-  node processes plus one control pipe per child, forks the children
-  (the graph is inherited copy-on-write; only *messages* are pickled),
-  then watches the control pipes from a ``ProcsRunHandle``;
-* inside each child a :class:`_NodeExecutor` -- a
-  :class:`ThreadedExecutor` restricted to the node's own tasks -- runs
-  interior tiles on a work-stealing thread pool exactly as the threads
-  backend does;
-* a dedicated *courier* thread is the single writer of the peer pipes
-  (the paper's per-node communication thread): completed boundary
-  tasks enqueue their remote strips and the courier pickles and ships
-  one message per (producer, tag, destination node), the same unit the
-  static census counts;
-* a *receiver* thread drains incoming pipes, injecting remote payloads
-  into the executor's payload store and releasing consumer dependency
-  counts, and listens on the control pipe for cancel/exit requests.
+* the parent forks the children over a full mesh of duplex pipes plus
+  one control pipe each (the graph is inherited copy-on-write; only
+  messages are pickled) and watches them from a ``ProcsRunHandle``;
+* per child, a *courier* thread is the single writer of the peer pipes
+  (the paper's communication thread) and a *receiver* thread hands
+  arriving payloads to the flow state and listens for cancel/exit;
+* failure containment: a kernel error is broadcast as an abort to
+  every peer and reported to the parent as
+  :class:`~repro.runtime.flow.KernelError`; silent child death,
+  cancellation and parent death unwind every pool, and stragglers are
+  terminated after a grace period so no orphan survives.
 
-Failure containment: a kernel error in one process is broadcast as an
-abort message to every peer and reported to the parent, so
-:class:`~repro.runtime.engine.KernelError` propagates across the
-process boundary without deadlocking anyone; cancellation and
-parent-death likewise unwind every pool, and the parent terminates
-stragglers after a grace period so no orphan workers survive.
-
-Accounting: per-edge message counts and *declared* payload bytes match
-:meth:`TaskGraph.census` exactly (one message per producer/tag/
-destination, sized by the same max-over-flows rule); actual pickled
-wire bytes are tallied separately.  Send/recv spans land in the
-standard :class:`~repro.runtime.trace.Trace` schema on comm lanes, so
-occupancy analyses and the Perfetto exporter work unchanged.
+Pickled wire bytes are tallied beside the declared payload bytes, and
+send/recv spans land on comm lanes of the standard trace schema.
 """
 
 from __future__ import annotations
@@ -58,12 +39,10 @@ from dataclasses import dataclass, field
 from multiprocessing.connection import Connection
 from multiprocessing.connection import wait as conn_wait
 
-import numpy as np
-
 from ..obs import trace_validation_enabled
 from ..obs.export import build_trace
 from ..obs.metrics import MetricRegistry, MetricsSnapshot
-from ..runtime.engine import KernelError, NodeLostError
+from ..runtime.flow import FlowState, KernelError, NodeLostError
 from ..runtime.graph import TaskGraph
 from ..runtime.task import Task, TaskKey
 from ..runtime.trace import Trace
@@ -127,33 +106,6 @@ class ProcsReport(ExecReport):
 # ---------------------------------------------------------------------------
 # child side
 # ---------------------------------------------------------------------------
-
-
-def _send_plan(
-    graph: TaskGraph, node: int
-) -> dict[TaskKey, list[tuple[str, int, int]]]:
-    """(producer key) -> [(tag, dst node, declared nbytes)] for every
-    output of a local task that some other node consumes.  One entry is
-    one wire message; sizes follow the census rule (max over the
-    destination's flow declarations and the producer's out_nbytes)."""
-    plan: dict[TaskKey, list[tuple[str, int, int]]] = {}
-    for task in graph:
-        if task.node != node:
-            continue
-        for tag in graph.out_tags.get(task.key, ()):
-            per_dst: dict[int, int] = {}
-            for ckey in graph.consumers.get((task.key, tag), ()):
-                consumer = graph[ckey]
-                if consumer.node == node:
-                    continue
-                size = per_dst.get(consumer.node, task.out_nbytes.get(tag, 0))
-                for flow in consumer.inputs:
-                    if flow.producer == task.key and flow.tag == tag:
-                        size = max(size, flow.nbytes)
-                per_dst[consumer.node] = size
-            for dst in sorted(per_dst):
-                plan.setdefault(task.key, []).append((tag, dst, per_dst[dst]))
-    return plan
 
 
 class _Courier(threading.Thread):
@@ -326,9 +278,9 @@ class _Receiver(threading.Thread):
 
 
 class _NodeExecutor(ThreadedExecutor):
-    """A :class:`ThreadedExecutor` that owns one node's tasks of a
-    larger graph.  Remote inputs arrive via :meth:`_inject`; remote
-    outputs leave through the attached courier."""
+    """A :class:`ThreadedExecutor` whose dataflow scope is one node's
+    tasks of a larger graph.  Remote inputs arrive via :meth:`_inject`;
+    remote outputs leave through the attached courier."""
 
     def __init__(
         self, graph: TaskGraph, node: int, jobs: int, policy: str, trace: bool,
@@ -336,55 +288,34 @@ class _NodeExecutor(ThreadedExecutor):
     ) -> None:
         self.node = node
         self.metrics_node = node  # label this node's metrics correctly
-        self._local: list[Task] = [t for t in graph if t.node == node]
-        #: (producer, tag) -> local consumer keys (one entry per flow)
-        self._remote_consumers: dict[tuple[TaskKey, str], list[TaskKey]] = {}
         self._inject_rr = 0
         self._courier: _Courier | None = None
+        self._sends = graph.flow_plan().messages
         super().__init__(graph, jobs=jobs, policy=policy, trace=trace,
                          metrics=metrics)
-        self._unfinished = len(self._local)
-        self._plan = _send_plan(graph, node)
 
-    def _check_executable(self) -> None:
-        pass  # the parent ran ensure_executable() once, before forking
+    def _flow_state(self) -> FlowState:
+        return FlowState(self.graph, node=self.node)
 
-    def _prepare(self) -> list[Task]:
-        seeds: list[Task] = []
-        for task in self._local:
-            self._pending[task.key] = len(task.inputs)
-            for flow in task.inputs:
-                key = (flow.producer, flow.tag)
-                self._refcount[key] = self._refcount.get(key, 0) + 1
-                if self.graph[flow.producer].node == self.node:
-                    self._release.setdefault(flow.producer, []).append(task.key)
-                else:
-                    self._remote_consumers.setdefault(key, []).append(task.key)
-            if not task.inputs:
-                seeds.append(task)
-        return seeds
+    def _send(self, task: Task, outputs: dict) -> None:
+        # Runs before the pool lock is taken: pickling is the courier's.
+        for tag, dst, nbytes in self._sends.get(task.key, ()):
+            assert self._courier is not None
+            self._courier.send_data(dst, task.key, tag, outputs[tag], nbytes)
 
     def _inject(self, producer: TaskKey, tag: str, payload) -> None:
         """A remote payload arrived: store it and release the local
         consumers waiting on it (the receiver thread's entry point)."""
-        key = (producer, tag)
         with self._work_ready:
-            consumers = self._remote_consumers.pop(key, None)
-            if consumers is None or self._failure is not None or self._cancelled:
+            if self._failure is not None or self._cancelled:
                 return
-            refs = self._refcount.get(key, 0)
-            if refs:
-                self._store[key] = [payload, refs]
-            woke = False
-            for consumer_key in consumers:
-                self._pending[consumer_key] -= 1
-                if self._pending[consumer_key] == 0:
-                    self._queues.push(self._inject_rr % self.jobs,
-                                      self.graph[consumer_key])
-                    self._inject_rr += 1
-                    woke = True
-            if woke:
-                self._work_ready.notify_all()
+            ready = self._flow.deliver(producer, tag, self.node, payload)
+            if not ready:
+                return
+            for consumer in ready:
+                self._queues.push(self._inject_rr % self.jobs, consumer)
+                self._inject_rr += 1
+            self._work_ready.notify_all()
 
     def _fail_remote(self, exc: BaseException) -> None:
         """A peer (or the parent) asked us to stop with an error."""
@@ -392,40 +323,6 @@ class _NodeExecutor(ThreadedExecutor):
             if self._failure is None:
                 self._failure = exc
             self._work_ready.notify_all()
-
-    def _publish(self, task: Task, outputs: dict, wid: int) -> None:
-        outputs = self._expected_outputs(task, outputs)
-        for payload in outputs.values():
-            if isinstance(payload, np.ndarray):
-                payload.setflags(write=False)
-        # Ship remote copies before taking the lock: pickling is heavy.
-        for tag, dst, nbytes in self._plan.get(task.key, ()):
-            assert self._courier is not None
-            self._courier.send_data(dst, task.key, tag, outputs[tag], nbytes)
-        woke = False
-        with self._work_ready:
-            for tag, payload in outputs.items():
-                key = (task.key, tag)
-                refs = self._refcount.get(key, 0)
-                if refs > 0:
-                    self._store[key] = [payload, refs]
-                elif key not in self.graph.consumers:
-                    self._results[key] = payload  # terminal output
-            for flow in task.inputs:
-                key = (flow.producer, flow.tag)
-                entry = self._store[key]
-                entry[1] -= 1
-                if entry[1] == 0:
-                    del self._store[key]
-            self._completed.add(task.key)
-            self._unfinished -= 1
-            for consumer_key in self._release.get(task.key, ()):
-                self._pending[consumer_key] -= 1
-                if self._pending[consumer_key] == 0:
-                    self._queues.push(wid, self.graph[consumer_key])
-                    woke = True
-            if woke or self._unfinished == 0:
-                self._work_ready.notify_all()
 
 
 def _relative_spans(spans, epoch):
@@ -477,7 +374,7 @@ def _node_main(
             stats = {
                 "node": node,
                 "completed": list(executor._completed),
-                "results": executor._results,
+                "results": executor._flow.results,
                 "worker_busy": busy,
                 "steals": executor._steals,
                 "messages": courier.messages,
@@ -704,6 +601,7 @@ class ProcessExecutor:
             )
         self._started = True
         ctx = mp.get_context("fork")
+        self.graph.flow_plan()  # memoised before the fork: children inherit it
 
         # Full mesh of duplex pipes (data + aborts can always flow).
         ends: dict[int, dict[int, Connection]] = {n: {} for n in range(self.procs)}
@@ -876,12 +774,7 @@ class ProcessExecutor:
     def _build_report(self, outcomes: dict[int, tuple], t_end: float) -> ProcsReport:
         elapsed = t_end - self._epoch
         useful, redundant = self.graph.total_flops()
-        local_edges = local_bytes = 0
-        for task in self.graph:
-            for flow in task.inputs:
-                if self.graph[flow.producer].node == task.node:
-                    local_edges += 1
-                    local_bytes += flow.nbytes
+        census = self.graph.census()
         results: dict = {}
         completed: set = set()
         worker_busy: dict[int, float] = {}
@@ -931,8 +824,8 @@ class ProcessExecutor:
             tasks_run=len(completed),
             messages=messages,
             message_bytes=payload_bytes,
-            local_edges=local_edges,
-            local_bytes=local_bytes,
+            local_edges=census.local_edges,
+            local_bytes=census.local_bytes,
             useful_flops=useful,
             redundant_flops=redundant,
             node_busy=node_busy,

@@ -25,6 +25,7 @@ promises must stay addressable.
 
 from __future__ import annotations
 
+from ..runtime.flow import message_size
 from ..runtime.graph import TaskGraph
 from ..runtime.task import Flow, Task, TaskKey
 from .core import GraphPass, PassContext, int_param, reject_unknown
@@ -40,12 +41,6 @@ from .rewrite import (
 
 #: Kind label of the emitted super-tasks.
 COARSE_KIND = "coarse"
-
-
-def _message_size(graph: TaskGraph, producer: Task, tag: str, nbytes: int) -> int:
-    """The census/engine size rule for one flow: the largest size any
-    party declared."""
-    return max(nbytes, producer.out_nbytes.get(tag, 0))
 
 
 class CoarsenPass(GraphPass):
@@ -125,9 +120,7 @@ class CoarsenPass(GraphPass):
                 if pgid is None:
                     continue
                 part = (flow.producer, flow.tag)
-                size = _message_size(
-                    graph, graph[flow.producer], flow.tag, flow.nbytes
-                )
+                size = message_size(graph[flow.producer], flow.tag, flow.nbytes)
                 parts = demand.setdefault(pgid, {}).setdefault(cid, {})
                 parts[part] = max(parts.get(part, 0), size)
 

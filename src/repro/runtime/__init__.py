@@ -4,9 +4,12 @@ Layers:
 
 * :mod:`~repro.runtime.task` / :mod:`~repro.runtime.graph` -- the task
   and DAG model (tagged flows, like PaRSEC's named dataflows).
+* :mod:`~repro.runtime.flow` -- the dataflow core every backend
+  drives: the graph's message plan, dependency counts and the
+  refcounted payload store.
 * :mod:`~repro.runtime.engine` -- the discrete-event engine: per-node
-  worker pools, a dedicated communication thread per node, a NIC/wire
-  network model, and real kernel execution through a versioned mailbox.
+  worker pools, a dedicated communication thread per node and a
+  NIC/wire network model around the dataflow core.
 * :mod:`~repro.runtime.scheduler` -- pluggable ready-queue policies.
 * :mod:`~repro.runtime.ptg` / :mod:`~repro.runtime.dtd` -- the two
   PaRSEC programming front-ends (Parameterized Task Graph and Dynamic

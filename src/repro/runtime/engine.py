@@ -1,19 +1,16 @@
-"""Discrete-event dataflow engine -- the "PaRSEC" of this reproduction.
+"""Discrete-event engine -- the timing shell of the simulated backend.
 
-The engine plays both roles of a distributed task runtime:
-
-* **Executor**: with ``execute=True`` every task's kernel actually runs
-  (on real numpy payloads) in a dependency-respecting order, with
-  payloads routed producer-to-consumer through a versioned mailbox, so
-  numerical results are real and testable.
-* **Performance simulator**: a virtual clock advances according to the
-  machine model.  Each node has ``cores - 1`` compute workers plus one
-  communication thread (the paper's PaRSEC configuration); remote
-  flows become messages that occupy the sender's comm thread
-  (software overhead), the sender's NIC (serialization at effective
-  bandwidth), the wire (latency) and the receiver's comm thread, while
-  compute workers keep executing independent tasks -- which is exactly
-  the communication/computation overlap the paper leans on.
+The dataflow itself (dependency counts, the versioned payload store,
+one message per (producer, tag, destination node)) is
+:mod:`repro.runtime.flow`'s; this module adds the virtual clock.  Each
+node has ``cores - 1`` compute workers plus one communication thread
+(the paper's PaRSEC configuration); a remote message occupies the
+sender's comm thread (software overhead), the sender's NIC
+(serialization at effective bandwidth), the wire (latency) and the
+receiver's comm thread, while compute workers keep executing
+independent tasks -- the communication/computation overlap the paper
+leans on.  With ``execute=True`` kernels also run, so one run gives
+real numerics and modelled timing.
 
 Setting ``overlap=False`` removes the communication thread and charges
 message costs to the compute workers synchronously (blocking-MPI
@@ -27,45 +24,16 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any
 
-import numpy as np
-
 from ..machine.machine import MachineSpec
 from ..obs import trace_validation_enabled
 from ..obs.metrics import MetricRegistry, MetricsSnapshot
+from .flow import FlowState, KernelError, NodeLostError, publish_counts, run_kernel
 from .graph import GraphError, TaskGraph
 from .scheduler import make_queue
 from .task import Task, TaskKey
 from .trace import Trace
 
-class KernelError(RuntimeError):
-    """A task kernel raised during execution; the message carries the
-    task identity so distributed failures are debuggable."""
-
-
-class NodeLostError(KernelError):
-    """A node was lost mid-run -- its process died, or a fault plan
-    killed it.  Carries the lost node id and the last *complete*
-    checkpoint step (None when no checkpoint exists), so a recovery
-    layer can restart the remaining iterations on the survivors
-    instead of rerunning from scratch.
-
-    Subclasses :class:`KernelError` so every backend's existing
-    pass-through of kernel failures propagates it untouched, and it
-    pickles across the procs backend's control pipes.
-    """
-
-    def __init__(
-        self,
-        message: str,
-        node: int | None = None,
-        checkpoint_step: int | None = None,
-    ) -> None:
-        super().__init__(message)
-        self.node = node
-        self.checkpoint_step = checkpoint_step
-
-    def __reduce__(self):
-        return (self.__class__, (self.args[0], self.node, self.checkpoint_step))
+__all__ = ["Engine", "EngineReport", "KernelError", "NodeLostError"]
 
 
 # Event kinds, processed in (time, seq) order.
@@ -218,19 +186,12 @@ class Engine:
         self._comm_busy_flag = [False] * nnodes
         self._nic_free = [0.0] * nnodes
 
-        # Dependency bookkeeping.
-        self._pending: dict[TaskKey, int] = {}
-        # (producer, tag, node) -> consumer keys, one entry per flow instance.
-        self._waiters: dict[tuple[TaskKey, str, int], list[TaskKey]] = {}
-        # producer -> same-node consumer keys (one entry per flow instance).
-        self._local_waiters: dict[TaskKey, list[TaskKey]] = {}
-        # producer -> messages its completion emits.
-        self._remote_msgs: dict[TaskKey, list[_Message]] = {}
+        # The run's dataflow state and the graph's per-producer
+        # messages, both set up by run().
+        self._flow: FlowState | None = None
+        self._sends: dict[TaskKey, list[tuple[str, int, int]]] = {}
         # blocking mode: per-consumer receive-processing charge.
         self._recv_charge: dict[TaskKey, float] = {}
-        # Payload mailbox (execute mode): (producer, tag) -> [payload, refcount]
-        self._store: dict[tuple[TaskKey, str], list] = {}
-        self._refcount: dict[tuple[TaskKey, str], int] = {}
 
         self._events: list[tuple] = []  # (time, seq, kind, payload)
         self._seq = 0
@@ -243,7 +204,6 @@ class Engine:
         self._node_busy = dict.fromkeys(range(nnodes), 0.0)
         self._comm_busy = dict.fromkeys(range(nnodes), 0.0)
         self._tasks_run = 0
-        self.results: dict[tuple[TaskKey, str], Any] = {}
 
     # -- event helpers ----------------------------------------------------
 
@@ -253,73 +213,31 @@ class Engine:
 
     # -- setup -------------------------------------------------------------
 
-    def _prepare(self) -> None:
-        """One pass over the graph building the runtime tables:
-
-        * ``_pending`` -- unmet input counts per task;
-        * ``_local_waiters`` -- consumer lists woken directly when a
-          same-node producer completes;
-        * ``_waiters`` -- consumer lists keyed by (producer, tag, node),
-          woken when a message is delivered to that node;
-        * ``_remote_msgs`` -- per producer, the unique messages its
-          completion emits: one per (tag, destination node), consumers
-          on the same node sharing it (PaRSEC's message coalescing).
-        """
-        census_local = 0
-        census_local_bytes = 0
-        tasks = self.graph.tasks
-        local_waiters = self._local_waiters
-        waiters = self._waiters
-        remote_msgs: dict[TaskKey, dict[tuple[str, int], int]] = {}
-        for task in self.graph:
-            self._pending[task.key] = len(task.inputs)
-            node = task.node
-            for flow in task.inputs:
-                src_node = tasks[flow.producer].node
-                if src_node == node:
-                    local_waiters.setdefault(flow.producer, []).append(task.key)
-                    census_local += 1
-                    census_local_bytes += flow.nbytes
-                else:
-                    waiters.setdefault((flow.producer, flow.tag, node), []).append(
-                        task.key
-                    )
-                    sizes = remote_msgs.setdefault(flow.producer, {})
-                    mkey = (flow.tag, node)
-                    declared = tasks[flow.producer].out_nbytes.get(flow.tag, 0)
-                    sizes[mkey] = max(sizes.get(mkey, 0), flow.nbytes, declared)
-                    if not self.overlap:
-                        # Blocking MPI: the consumer's worker processes
-                        # the matching receive itself.
-                        self._recv_charge[task.key] = (
-                            self._recv_charge.get(task.key, 0.0)
-                            + self.machine.network.software_overhead
-                        )
-                if self.execute:
-                    key = (flow.producer, flow.tag)
-                    self._refcount[key] = self._refcount.get(key, 0) + 1
-        self._remote_msgs = {
-            key: [
-                _Message(key, tag, tasks[key].node, dst, nbytes)
-                for (tag, dst), nbytes in sizes.items()
-            ]
-            for key, sizes in remote_msgs.items()
-        }
-        self._local_edges = census_local
-        self._local_bytes = census_local_bytes
-        for task in self.graph:
-            if self._pending[task.key] == 0:
-                self._ready[task.node].push(task)
+    def _prepare(self) -> FlowState:
+        """Build the run's dataflow state and seed the ready queues."""
+        flow = self._flow = FlowState(self.graph, payloads=self.execute)
+        self._sends = self.graph.flow_plan().messages
+        if not self.overlap:
+            # Blocking MPI: the consumer's worker processes each
+            # matching receive itself.
+            overhead = self.machine.network.software_overhead
+            charge = self._recv_charge
+            for consumers in flow.waiters.values():
+                for consumer in consumers:
+                    charge[consumer.key] = charge.get(consumer.key, 0.0) + overhead
+        for task in flow.seeds():
+            self._ready[task.node].push(task)
         if self._ready_depth_max is not None:
             # Seeding only grows the queues, so the post-seed length is
             # the high-water mark so far.
             self._ready_depth_max = [len(q) for q in self._ready]
+        return flow
 
     # -- main loop -----------------------------------------------------------
 
     def run(self) -> EngineReport:
         """Process the whole graph; returns the :class:`EngineReport`."""
-        self._prepare()
+        flow = self._prepare()
         for node in range(self.machine.nodes):
             self._dispatch(node)
         while self._events:
@@ -335,11 +253,11 @@ class Engine:
                 self._on_arrival(payload)
             elif kind == _WORKER_SEND_DONE:
                 self._on_worker_send_done(*payload)
-        if any(self._pending.values()):
-            stuck = [k for k, p in self._pending.items() if p > 0][:5]
+        stuck = flow.stuck()
+        if stuck:
             raise RuntimeError(
-                f"deadlock: {sum(1 for p in self._pending.values() if p > 0)} "
-                f"tasks never became ready, e.g. {stuck}"
+                f"deadlock: {len(stuck)} tasks never became ready, "
+                f"e.g. {stuck[:5]}"
             )
         if self.trace is not None and trace_validation_enabled():
             self.trace.validate()
@@ -349,37 +267,28 @@ class Engine:
             tasks_run=self._tasks_run,
             messages=self._messages,
             message_bytes=self._message_bytes,
-            local_edges=self._local_edges,
-            local_bytes=self._local_bytes,
+            local_edges=flow.local_edges,
+            local_bytes=flow.local_bytes,
             useful_flops=useful,
             redundant_flops=redundant,
             node_busy=self._node_busy,
             comm_busy=self._comm_busy,
             max_comm_backlog=self._max_comm_backlog,
             trace=self.trace,
-            results=self.results,
-            metrics=self._publish_metrics(),
+            results=flow.results,
+            metrics=self._publish_metrics(flow),
         )
 
-    def _publish_metrics(self) -> MetricsSnapshot | None:
+    def _publish_metrics(self, flow: FlowState) -> MetricsSnapshot | None:
         """Fold the run's tallies into the attached registry (once, at
         the end -- the hot path never touches the registry) and return
         its snapshot."""
         reg = self.metrics
         if reg is None:
             return None
-        tasks = reg.counter("tasks_executed_total",
-                            "tasks executed, by kind", "tasks")
         # The event loop ran every graph task exactly once (a deadlock
-        # raises before we get here), so kind counts and per-node push
-        # counts are exact when read off the graph -- no hot-path cost.
-        kind_counts: dict[str, int] = {}
-        node_tasks = [0] * self.machine.nodes
-        for t in self.graph.tasks.values():
-            kind_counts[t.kind] = kind_counts.get(t.kind, 0) + 1
-            node_tasks[t.node] += 1
-        for kind, count in kind_counts.items():
-            tasks.inc(count, kind=kind)
+        # raises before we get here), so the graph's counts are exact.
+        publish_counts(reg, flow)
         msgs = reg.counter("messages_total",
                            "remote messages delivered, by lane", "messages")
         mbytes = reg.counter("message_bytes_total",
@@ -389,12 +298,6 @@ class Engine:
         for (src, dst), (n, nbytes) in self._pair_msgs.items():
             msgs.inc(n, src=src, dst=dst)
             mbytes.inc(nbytes, src=src, dst=dst)
-        reg.counter("local_edges_total",
-                    "same-node producer-consumer flows", "edges").inc(
-            self._local_edges)
-        reg.counter("local_bytes_total",
-                    "same-node flow payload bytes", "bytes").inc(
-            self._local_bytes)
         busy = reg.counter("worker_busy_seconds_total",
                            "busy time per compute worker", "seconds")
         assert self._worker_busy is not None
@@ -415,6 +318,9 @@ class Engine:
                           "deepest per-node ready queue observed", "tasks")
         pushes = reg.counter("ready_queue_pushes_total",
                              "tasks enqueued per node ready queue", "tasks")
+        node_tasks = [0] * self.machine.nodes
+        for t in flow.tasks:
+            node_tasks[t.node] += 1
         assert self._ready_depth_max is not None
         for node, high_water in enumerate(self._ready_depth_max):
             depth.set(high_water, node=node)
@@ -423,8 +329,6 @@ class Engine:
         reg.gauge("run_elapsed_seconds",
                   "makespan of the run (virtual seconds on the sim "
                   "backend)", "seconds").set(self._now)
-        reg.gauge("tasks_total", "tasks in the executed graph",
-                  "tasks").set(len(self.graph))
         reg.gauge("workers_per_node", "compute workers modelled per node",
                   "workers").set(self.workers_per_node)
         return reg.snapshot()
@@ -468,74 +372,24 @@ class Engine:
                 self._run_kernel(task)
             self._push_event(end, _TASK_DONE, (task, worker))
 
-    def _max_flow_bytes(self, producer: TaskKey, tag: str) -> int:
-        """Largest declared flow size for (producer, tag) across
-        consumers -- 0 means every consumer treats it as control."""
-        biggest = 0
-        for consumer_key in self.graph.consumers.get((producer, tag), ()):
-            for flow in self.graph[consumer_key].inputs:
-                if flow.producer == producer and flow.tag == tag:
-                    biggest = max(biggest, flow.nbytes)
-        return biggest
-
     def _run_kernel(self, task: Task) -> None:
-        inputs: dict[tuple[TaskKey, str], Any] = {}
-        for flow in task.inputs:
-            key = (flow.producer, flow.tag)
-            entry = self._store.get(key)
-            if entry is None:
-                raise RuntimeError(
-                    f"payload {key!r} missing when task {task.key!r} started"
-                )
-            inputs[key] = entry[0]
-        try:
-            outputs = dict(task.kernel(inputs, task)) if task.kernel is not None else {}
-        except Exception as exc:
-            if isinstance(exc, KernelError):
-                raise
-            raise KernelError(
-                f"kernel of task {task.key!r} (kind {task.kind!r}) failed: {exc}"
-            ) from exc
-        expected = set(self.graph.out_tags.get(task.key, ()))
-        produced = set(outputs)
-        missing = expected - produced
-        for tag in missing:
-            # Control edges (zero-byte flows nobody sized) carry no
-            # payload; they exist purely for ordering (DTD WAR/WAW).
-            if task.out_nbytes.get(tag, 0) == 0 and self._max_flow_bytes(task.key, tag) == 0:
-                outputs[tag] = None
-            else:
-                raise RuntimeError(
-                    f"task {task.key!r} produced tags {sorted(produced)} but "
-                    f"consumers expect {sorted(expected)}"
-                )
-        for tag, payload in outputs.items():
-            if isinstance(payload, np.ndarray):
-                payload.setflags(write=False)  # catch consumer mutation bugs
-            key = (task.key, tag)
-            refs = self._refcount.get(key, 0)
-            if refs == 0:
-                self.results[key] = payload  # terminal output
-            else:
-                self._store[key] = [payload, refs]
-        # Release inputs.
-        for flow in task.inputs:
-            key = (flow.producer, flow.tag)
-            entry = self._store[key]
-            entry[1] -= 1
-            if entry[1] == 0:
-                del self._store[key]
+        flow = self._flow
+        outputs = run_kernel(task, flow.gather(task))
+        flow.publish(task, flow.check(task, outputs))
 
     # -- completion & message machinery --------------------------------------
 
     def _on_task_done(self, task: Task, worker: int) -> None:
         node = task.node
         self._tasks_run += 1
-        msgs = self._remote_msgs.get(task.key, ())
+        plan = self._sends.get(task.key)
+        msgs = [
+            _Message(task.key, tag, node, dst, nbytes) for tag, dst, nbytes in plan
+        ] if plan else ()
         # Local consumers are satisfied immediately.
-        local = self._local_waiters.get(task.key)
-        if local:
-            self._wake(local)
+        ready = self._flow.release(task.key)
+        if ready:
+            self._wake(ready)
         if self.overlap:
             self._idle[node].append(worker)
             for msg in msgs:
@@ -571,26 +425,23 @@ class Engine:
         self._idle[node].append(worker)
         self._dispatch(node)
 
-    def _satisfy(self, gate_key: tuple) -> None:
+    def _satisfy(self, msg: _Message) -> None:
         """Wake the consumers waiting on a delivered message."""
-        waiters = self._waiters.get(gate_key)
-        if waiters:
-            self._wake(waiters)
+        ready = self._flow.deliver(msg.producer, msg.tag, msg.dst)
+        if ready:
+            self._wake(ready)
 
-    def _wake(self, waiters: list[TaskKey]) -> None:
+    def _wake(self, ready: list[Task]) -> None:
         touched_nodes = set()
         depth_max = self._ready_depth_max
-        for consumer_key in waiters:
-            self._pending[consumer_key] -= 1
-            if self._pending[consumer_key] == 0:
-                consumer = self.graph[consumer_key]
-                queue = self._ready[consumer.node]
-                queue.push(consumer)
-                if depth_max is not None:
-                    depth = len(queue)
-                    if depth > depth_max[consumer.node]:
-                        depth_max[consumer.node] = depth
-                touched_nodes.add(consumer.node)
+        for consumer in ready:
+            queue = self._ready[consumer.node]
+            queue.push(consumer)
+            if depth_max is not None:
+                depth = len(queue)
+                if depth > depth_max[consumer.node]:
+                    depth_max[consumer.node] = depth
+            touched_nodes.add(consumer.node)
         for node in touched_nodes:
             self._dispatch(node)
 
@@ -639,7 +490,7 @@ class Engine:
     def _on_comm_job_done(self, payload: tuple) -> None:
         node, msg = payload
         if msg is not None:
-            self._satisfy((msg.producer, msg.tag, msg.dst))
+            self._satisfy(msg)
         self._start_next_comm_job(node)
 
     def _on_arrival(self, msg: _Message) -> None:
@@ -661,4 +512,4 @@ class Engine:
         if self.overlap:
             self._enqueue_comm_job(msg.dst, ("recv", msg))
         else:
-            self._satisfy((msg.producer, msg.tag, msg.dst))
+            self._satisfy(msg)

@@ -12,6 +12,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterable, Iterator
 
+from .flow import FlowPlan, control_outputs
 from .task import EdgeCensus, Task, TaskKey
 
 
@@ -36,6 +37,8 @@ class TaskGraph:
         self.out_tags: dict[TaskKey, tuple[str, ...]] = {}
         self._finalized = False
         self._census: EdgeCensus | None = None
+        self._plan: FlowPlan | None = None
+        self._control: frozenset | None = None
 
     # -- construction --------------------------------------------------
 
@@ -127,50 +130,41 @@ class TaskGraph:
 
     # -- static analysis -------------------------------------------------
 
+    def flow_plan(self) -> FlowPlan:
+        """The graph's dataflow plan (remote messages and local edges)
+        every backend and the census read.  Memoised: a
+        finalized graph is immutable."""
+        if not self._finalized:
+            raise GraphError("finalize() the graph before analysing it")
+        if self._plan is None:
+            self._plan = FlowPlan(self)
+        return self._plan
+
+    def control_outputs(self) -> frozenset:
+        """(producer, tag) outputs that carry no payload (see
+        :func:`~repro.runtime.flow.control_outputs`).  Memoised, and
+        only built by runs that execute graphs needing it."""
+        if not self._finalized:
+            raise GraphError("finalize() the graph before analysing it")
+        if self._control is None:
+            self._control = control_outputs(self)
+        return self._control
+
     def census(self) -> EdgeCensus:
         """Count the communication the graph implies, independent of any
         schedule: a remote *message* is one (producer, tag, destination
         node) triple (consumers on the same node share a message, as in
-        PaRSEC); a local edge is a same-node flow."""
-        if not self._finalized:
-            raise GraphError("finalize() the graph before analysing it")
+        PaRSEC); a local edge is a same-node flow.  Read off
+        :meth:`flow_plan`, the same messages every backend sends."""
         if self._census is not None:  # immutable once finalized
             return self._census
-        census = EdgeCensus()
-        # A message's payload is the largest size any party declared for
-        # it: consumer flow sizes or the producer's out_nbytes (the
-        # engine uses the same rule).  This runs once per run when
-        # telemetry is on, so the loop stays allocation-light.
-        msg_sizes: dict[tuple[TaskKey, str, int], int] = {}
+        plan = self.flow_plan()
+        census = EdgeCensus(local_edges=plan.local_edges, local_bytes=plan.local_bytes)
         tasks = self.tasks
-        local_edges = local_bytes = 0
-        for task in tasks.values():
-            node = task.node
-            for flow in task.inputs:
-                producer = tasks[flow.producer]
-                nbytes = flow.nbytes
-                if producer.node == node:
-                    local_edges += 1
-                    local_bytes += nbytes
-                else:
-                    key = (flow.producer, flow.tag, node)
-                    declared = producer.out_nbytes.get(flow.tag, 0)
-                    if declared > nbytes:
-                        nbytes = declared
-                    prev = msg_sizes.get(key)
-                    if prev is None or nbytes > prev:
-                        msg_sizes[key] = nbytes
-        census.local_edges = local_edges
-        census.local_bytes = local_bytes
-        by_pair = census.by_pair
-        remote_bytes = 0
-        for (producer_key, _tag, dst), nbytes in msg_sizes.items():
-            remote_bytes += nbytes
-            pair = (tasks[producer_key].node, dst)
-            msgs, byts = by_pair.get(pair, (0, 0))
-            by_pair[pair] = (msgs + 1, byts + nbytes)
-        census.remote_messages = len(msg_sizes)
-        census.remote_bytes = remote_bytes
+        for producer, messages in plan.messages.items():
+            src = tasks[producer].node
+            for _tag, dst, nbytes in messages:
+                census.add_remote(src, dst, nbytes)
         self._census = census
         return census
 

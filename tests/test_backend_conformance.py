@@ -19,8 +19,10 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from repro.core.runner import run
 from repro.distgrid.boundary import DirichletBC
-from repro.exec import fork_available
+from repro.exec import ProcessExecutor, ThreadedExecutor, fork_available
 from repro.machine.machine import nacl
+from repro.runtime.dtd import IN, INOUT, OUT, DTDRuntime
+from repro.runtime.engine import Engine
 from repro.stencil.kernels import StencilWeights
 from repro.stencil.problem import JacobiProblem
 
@@ -171,3 +173,61 @@ def test_serve_path_matches_direct_run(impl):
         )).result(timeout=300)
     assert np.array_equal(served_threads.grid, sim_grid)
     assert np.array_equal(served_procs.grid, sim_grid)
+
+
+def _dtd_cross_node_graph():
+    """Two handles on two nodes, four rounds of INOUT/IN/OUT accesses
+    placed on alternating nodes: cross-node RAW data flows plus WAR and
+    WAW zero-byte control flows, and readers that ignore their data."""
+    dtd = DTDRuntime()
+    x = dtd.data("x", node=0, nbytes=32, initial=np.arange(4.0))
+    y = dtd.data("y", node=1, nbytes=32, initial=np.ones(4))
+
+    def version(ins, name):
+        (value,) = [v for (_, tag), v in ins.items()
+                    if tag.startswith(name + "#v") and not tag.endswith("!ctl")]
+        return value
+
+    def scale_x(r):
+        def kernel(ins, task):
+            return {next(iter(task.out_nbytes)): version(ins, "x") * 0.5 + r}
+        return kernel
+
+    def update_y(r):
+        def kernel(ins, task):
+            x_now = version(ins, "x")
+            if r % 2:  # pure OUT: y is overwritten, not read
+                y_new = x_now * 2.0
+            else:
+                y_new = version(ins, "y") + x_now.sum()
+            return {next(iter(task.out_nbytes)): y_new}
+        return kernel
+
+    def ignore(ins, task):
+        return {}
+
+    for r in range(4):
+        here, there = r % 2, (r + 1) % 2
+        dtd.insert_task(scale_x(r), node=here, accesses=[(x, INOUT)])
+        dtd.insert_task(update_y(r), node=there,
+                        accesses=[(x, IN), (y, OUT if r % 2 else INOUT)])
+        dtd.insert_task(ignore, node=here, accesses=[(y, IN)])
+    return dtd.graph()
+
+
+def test_cross_node_control_edges_on_every_backend():
+    """WAR/WAW control edges crossing nodes: the same results, the
+    census message count, and every task run, on all three backends."""
+    graph = _dtd_cross_node_graph()
+    census = graph.census()
+    assert any(f.nbytes == 0 and graph[f.producer].node != t.node
+               for t in graph for f in t.inputs), "no cross-node control edge"
+    sim = Engine(graph, nacl(2), execute=True).run()
+    threads = ThreadedExecutor(graph, jobs=2).run()
+    procs = ProcessExecutor(graph, procs=2, jobs=1).run()
+    for report in (threads, procs):
+        assert report.results.keys() == sim.results.keys()
+        for key, value in sim.results.items():
+            assert np.array_equal(report.results[key], value), key
+    assert sim.messages == procs.messages == census.remote_messages
+    assert sim.tasks_run == threads.tasks_run == procs.tasks_run == len(graph)
