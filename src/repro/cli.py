@@ -46,7 +46,9 @@ Gives the library's main entry points a shell-friendly face:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
+import tempfile
 
 from .analysis.tables import format_table
 from .core.runner import BACKENDS, IMPLEMENTATIONS, run
@@ -1073,113 +1075,159 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def _serve_knobs(args: argparse.Namespace) -> dict:
-    """Solve-shape kwargs for a :class:`SolveRequest` from CLI flags."""
+    """Solve-shape kwargs for a :class:`SolveRequest` from CLI flags.
+    ``stats --section serve`` shares the run flags, whose ``auto``
+    tile/steps and ``sim`` backend mean nothing to a service: they
+    fall back to the request defaults and the threads backend."""
     machine = preset(args.machine, nodes=args.nodes)
     knobs = dict(impl=args.impl, machine=machine,
-                 backend=args.backend, jobs=args.jobs,
-                 passes=getattr(args, "passes", None))
+                 backend="threads" if args.backend == "sim" else args.backend,
+                 jobs=args.jobs, passes=getattr(args, "passes", None))
     if args.impl != "petsc":
-        knobs.update(tile=args.tile, ratio=args.ratio)
+        knobs.update(tile=None if args.tile == "auto" else args.tile,
+                     ratio=args.ratio)
         if args.impl == "ca-parsec":
-            knobs["steps"] = args.steps
+            knobs["steps"] = 15 if args.steps == "auto" else args.steps
     return knobs
 
 
-def _serve_traffic(
-    service,
-    tenants: int,
-    per_tenant: int,
-    problems: list,
-    knobs: dict,
-    deadline_s: float | None = None,
-    timeout: float = 300.0,
-) -> dict[str, int]:
-    """Synthetic multi-tenant traffic: each tenant submits its share
-    in two waves over the same problem variants, so the second wave
-    is served from the result cache.  Returns outcome tallies."""
-    from .serve import ServeError, SolverClient
+class _Traffic:
+    """Canned multi-tenant traffic against one service: ``variants``
+    problem shapes and the request knobs from the shared request
+    flags, with outcome tallies accumulated over every :meth:`run`."""
 
-    clients = [
-        SolverClient(service, tenant=f"tenant-{chr(ord('a') + i)}",
-                     deadline_s=deadline_s)
-        for i in range(tenants)
-    ]
-    tally = {"ok": 0, "cached": 0, "rejected": 0, "failed": 0}
-    first = (per_tenant + 1) // 2
-    for count in (first, per_tenant - first):
-        futures = []
-        for client in clients:
-            for k in range(count):
+    def __init__(self, service, args: argparse.Namespace,
+                 variants: int) -> None:
+        self.service = service
+        self.args = args
+        self.problems = [
+            JacobiProblem(n=args.n, iterations=args.iterations + k)
+            for k in range(variants)
+        ]
+        self.knobs = _serve_knobs(args)
+        self.tally = {"ok": 0, "cached": 0, "rejected": 0, "failed": 0}
+
+    def run(self, tenants: int, per_tenant: int,
+            deadline_s: float | None = None) -> None:
+        """Each tenant submits its share in two waves over the same
+        problem variants, so the second wave is served from the result
+        cache; then the ``--fault`` request, if the command has one."""
+        from .serve import ServeError, SolverClient
+
+        clients = [
+            SolverClient(self.service, tenant=f"tenant-{chr(ord('a') + i)}",
+                         deadline_s=deadline_s)
+            for i in range(tenants)
+        ]
+        first = (per_tenant + 1) // 2
+        for count in (first, per_tenant - first):
+            futures = []
+            for client in clients:
+                for k in range(count):
+                    try:
+                        futures.append(client.submit(
+                            self.problems[k % len(self.problems)],
+                            **self.knobs,
+                        ))
+                    except ServeError:
+                        self.tally["rejected"] += 1
+            for future in futures:
                 try:
-                    futures.append(
-                        client.submit(problems[k % len(problems)], **knobs)
-                    )
+                    outcome = future.result(300.0)
                 except ServeError:
-                    tally["rejected"] += 1
-        for future in futures:
-            try:
-                outcome = future.result(timeout)
-            except ServeError:
-                tally["failed"] += 1
-            else:
-                tally["cached" if outcome.cached else "ok"] += 1
-    return tally
+                    self.tally["failed"] += 1
+                else:
+                    self.tally["cached" if outcome.cached else "ok"] += 1
+        if getattr(self.args, "fault", None):
+            self._fault(self.args.fault)
+
+    def _fault(self, plan: str) -> None:
+        from .serve import ServeError, SolveRequest
+
+        # A fresh problem shape: the solve signature ignores the chaos
+        # plan (faults cannot change the answer), so reusing a traffic
+        # problem would hit the result cache and never execute -- much
+        # less fail.
+        request = SolveRequest(
+            problem=JacobiProblem(
+                n=self.args.n, iterations=self.args.iterations + 17,
+            ),
+            tenant="chaos", chaos_plan=plan, retries=0,
+            **{k: v for k, v in self.knobs.items() if k != "passes"},
+        )
+        try:
+            self.service.submit(request).result(timeout=300)
+        except ServeError as exc:
+            # The whole point: the zero-retry chaos request fails
+            # terminally and trips the flight recorder.
+            print(f"forced fault failed the request as intended: {exc!r}")
+
+    def outcomes(self) -> str:
+        t = self.tally
+        return (f"outcomes: {t['ok']} solved, {t['cached']} cached, "
+                f"{t['rejected']} rejected, {t['failed']} failed")
+
+
+@contextlib.contextmanager
+def _canned_traffic(args: argparse.Namespace, variants: int, **config):
+    """The one canned-traffic driver behind ``serve``, ``slo``,
+    ``alerts``, ``top`` and ``stats --section serve``: a running
+    :class:`SolverService` built from ``config`` (each command's own
+    :class:`ServiceConfig` fields) over a private temporary directory
+    that holds the result cache (unless ``--cache-dir`` /
+    ``--no-cache`` say otherwise) and the chaos checkpoint state --
+    fault state is per-workdir, so a shared default would let an
+    earlier run's already-fired fault turn ``--fault`` into a clean
+    recovery.  Yields the :class:`_Traffic` to drive it with."""
+    from .serve import ServiceConfig, SolverService
+
+    with tempfile.TemporaryDirectory(prefix="repro-serve-") as tmp:
+        if getattr(args, "no_cache", False):
+            cache: object = False
+        else:
+            cache = getattr(args, "cache_dir", None) or tmp
+        config = ServiceConfig(jobs=args.jobs, cache=cache,
+                               checkpoint_dir=f"{tmp}/chaos", **config)
+        with SolverService(config) as service:
+            yield _Traffic(service, args, variants)
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    import tempfile
-
     from .obs import RunMonitor, format_serve_summary
-    from .serve import ServiceConfig, SolverService
 
-    problems = [
-        JacobiProblem(n=args.n, iterations=args.iterations + k)
-        for k in range(max(1, (args.requests + 1) // 2))
-    ]
-    knobs = _serve_knobs(args)
-    with tempfile.TemporaryDirectory(prefix="repro-serve-") as tmp:
-        if args.no_cache:
-            cache: object = False
-        else:
-            cache = args.cache_dir if args.cache_dir else tmp
-        timeline_out = args.trace_out or args.otel_out
-        config = ServiceConfig(
-            pool=args.pool,
-            workers=args.workers,
-            jobs=args.jobs,
-            queue_depth=args.queue_depth,
-            tenant_limit=args.tenant_limit,
-            batch_window_s=args.batch_window,
-            max_batch=args.max_batch,
-            cache=cache,
-            trace_requests=bool(timeline_out),
-        )
-        monitor = RunMonitor(interval=args.interval, stream=sys.stdout)
-        with SolverService(config) as service:
-            monitor.attach(service)
-            try:
-                tally = _serve_traffic(
-                    service, args.tenants, args.requests, problems, knobs,
-                    deadline_s=args.deadline,
-                )
-            finally:
-                monitor.stop()
-            snapshot = service.metrics.snapshot()
-            stats = service.stats()
-            if timeline_out:
-                written = service.write_timeline(
-                    chrome=args.trace_out, otel=args.otel_out
-                )
-                for fmt, path in written.items():
-                    print(f"{fmt} timeline written to {path}")
+    timeline_out = args.trace_out or args.otel_out
+    monitor = RunMonitor(interval=args.interval, stream=sys.stdout)
+    with _canned_traffic(
+        args, max(1, (args.requests + 1) // 2),
+        pool=args.pool,
+        workers=args.workers,
+        queue_depth=args.queue_depth,
+        tenant_limit=args.tenant_limit,
+        batch_window_s=args.batch_window,
+        max_batch=args.max_batch,
+        trace_requests=bool(timeline_out),
+    ) as traffic:
+        service = traffic.service
+        monitor.attach(service)
+        try:
+            traffic.run(args.tenants, args.requests, deadline_s=args.deadline)
+        finally:
+            monitor.stop()
+        snapshot = service.metrics.snapshot()
+        stats = service.stats()
+        if timeline_out:
+            written = service.write_timeline(
+                chrome=args.trace_out, otel=args.otel_out
+            )
+            for fmt, path in written.items():
+                print(f"{fmt} timeline written to {path}")
     print(f"traffic: {args.tenants} tenants x {args.requests} requests "
-          f"({len(problems)} distinct problems, second wave repeats)")
-    print(f"outcomes: {tally['ok']} solved, {tally['cached']} cached, "
-          f"{tally['rejected']} rejected, {tally['failed']} failed")
+          f"({len(traffic.problems)} distinct problems, second wave repeats)")
+    print(traffic.outcomes())
     print(format_serve_summary(snapshot))
     pool = stats["pool"]
     print(f"pool at shutdown: kind={pool['kind']} spawned={pool['spawned']}")
-    return 0 if tally["failed"] == 0 else 1
+    return 0 if traffic.tally["failed"] == 0 else 1
 
 
 def _cmd_slo(args: argparse.Namespace) -> int:
@@ -1187,66 +1235,22 @@ def _cmd_slo(args: argparse.Namespace) -> int:
     service, reported as per-tenant latency percentiles and
     error-budget burn; ``--fault`` additionally forces one terminal
     failure so the flight recorder dumps a postmortem."""
-    import tempfile
-
     from .obs.slo import format_slo_report, slo_report
-    from .serve import (
-        ServeError,
-        ServiceConfig,
-        SolveRequest,
-        SolverService,
-    )
 
-    problems = [
-        JacobiProblem(n=args.n, iterations=args.iterations + k)
-        for k in range(2)
-    ]
-    knobs = _serve_knobs(args)
-    dump = None
-    with tempfile.TemporaryDirectory(prefix="repro-slo-") as tmp:
-        # A private checkpoint dir per invocation: chaos fault state is
-        # per-workdir, so a shared default would let a previous run's
-        # already-fired fault turn --fault into a clean recovery.
-        config = ServiceConfig(
-            workers=args.workers, jobs=args.jobs, cache=tmp,
-            dump_dir=args.dump_dir, checkpoint_dir=f"{tmp}/chaos",
-        )
-        with SolverService(config) as service:
-            tally = _serve_traffic(
-                service, args.tenants, args.requests, problems, knobs
-            )
-            if args.fault:
-                # A fresh problem shape: the solve signature ignores
-                # the chaos plan (faults cannot change the answer), so
-                # reusing a traffic problem would hit the result cache
-                # and never execute -- much less fail.
-                request = SolveRequest(
-                    problem=JacobiProblem(
-                        n=args.n, iterations=args.iterations + 17,
-                    ),
-                    tenant="chaos", chaos_plan=args.fault, retries=0,
-                    **{k: v for k, v in knobs.items() if k != "passes"},
-                )
-                try:
-                    service.submit(request).result(timeout=300)
-                except ServeError as exc:
-                    # The whole point: the zero-retry chaos request
-                    # fails terminally and trips the flight recorder.
-                    print(f"forced fault failed the request as "
-                          f"intended: {exc!r}")
-                dumps = service.stats().get("postmortems", [])
-                dump = dumps[-1] if dumps else None
-            snapshot = service.metrics.snapshot()
+    with _canned_traffic(args, 2, workers=args.workers,
+                         dump_dir=args.dump_dir) as traffic:
+        traffic.run(args.tenants, args.requests)
+        dumps = traffic.service.stats().get("postmortems", [])
+        snapshot = traffic.service.metrics.snapshot()
     print(f"traffic: {args.tenants} tenants x {args.requests} requests")
-    print(f"outcomes: {tally['ok']} solved, {tally['cached']} cached, "
-          f"{tally['rejected']} rejected, {tally['failed']} failed")
+    print(traffic.outcomes())
     print(format_slo_report(slo_report(snapshot, objective=args.objective)))
     if args.fault:
-        if dump is None:
+        if not dumps:
             print("forced fault produced no postmortem dump")
             return 1
-        print(f"postmortem dump: {dump}")
-    return 0 if tally["failed"] == 0 else 1
+        print(f"postmortem dump: {dumps[-1]}")
+    return 0 if traffic.tally["failed"] == 0 else 1
 
 
 def _alert_rules_from(args: argparse.Namespace) -> list:
@@ -1274,53 +1278,29 @@ def _cmd_alerts(args: argparse.Namespace) -> int:
               f"({firing} firing, {resolved} resolved)")
         return 0
 
-    import tempfile
     import time as _time
 
-    from .serve import ServeError, ServiceConfig, SolveRequest, SolverService
-
-    problems = [
-        JacobiProblem(n=args.n, iterations=args.iterations + k)
-        for k in range(2)
-    ]
-    knobs = _serve_knobs(args)
-    with tempfile.TemporaryDirectory(prefix="repro-alerts-") as tmp:
-        # Private checkpoint dir per invocation, same reason as `slo
-        # --fault`: stale fault state would turn the kill into a no-op.
-        config = ServiceConfig(
-            workers=args.workers, jobs=args.jobs, cache=tmp,
-            dump_dir=args.dump_dir, checkpoint_dir=f"{tmp}/chaos",
-            sampling_interval_s=args.sample_interval,
-            alert_rules=rules, alert_log=args.log_out,
-        )
-        with SolverService(config) as service:
-            tally = _serve_traffic(
-                service, args.tenants, args.requests, problems, knobs
-            )
-            if args.fault:
-                request = SolveRequest(
-                    problem=JacobiProblem(
-                        n=args.n, iterations=args.iterations + 17,
-                    ),
-                    tenant="chaos", chaos_plan=args.fault, retries=0,
-                    **{k: v for k, v in knobs.items() if k != "passes"},
-                )
-                try:
-                    service.submit(request).result(timeout=300)
-                except ServeError as exc:
-                    print(f"forced fault failed the request as "
-                          f"intended: {exc!r}")
-            # Let firing alerts resolve: the sampler keeps evaluating
-            # until every rule's window slides past the incident.
-            deadline = _time.monotonic() + args.settle
-            while _time.monotonic() < deadline:
-                engine = service.alerts
-                if engine is not None and engine.transitions and \
-                        not engine.active():
-                    break
-                _time.sleep(args.sample_interval)
+    with _canned_traffic(
+        args, 2,
+        workers=args.workers,
+        dump_dir=args.dump_dir,
+        sampling_interval_s=args.sample_interval,
+        alert_rules=rules,
+        alert_log=args.log_out,
+    ) as traffic:
+        traffic.run(args.tenants, args.requests)
+        service = traffic.service
+        # Let firing alerts resolve: the sampler keeps evaluating
+        # until every rule's window slides past the incident.
+        deadline = _time.monotonic() + args.settle
+        while _time.monotonic() < deadline:
             engine = service.alerts
-            series = service.series
+            if engine is not None and engine.transitions and \
+                    not engine.active():
+                break
+            _time.sleep(args.sample_interval)
+        engine = service.alerts
+        series = service.series
     if args.series_out and series is not None:
         print(f"series written to {series.to_jsonl(args.series_out)}")
     for event in engine.transitions:
@@ -1329,8 +1309,7 @@ def _cmd_alerts(args: argparse.Namespace) -> int:
         print(f"alert postmortem: {dump}")
     firing = sum(1 for e in engine.transitions if e["to"] == "firing")
     resolved = sum(1 for e in engine.transitions if e["to"] == "resolved")
-    print(f"outcomes: {tally['ok']} solved, {tally['cached']} cached, "
-          f"{tally['rejected']} rejected, {tally['failed']} failed")
+    print(traffic.outcomes())
     print(f"alerts: {firing} fired, {resolved} resolved")
     if args.fault and firing == 0:
         print("forced fault fired no alert", file=sys.stderr)
@@ -1360,46 +1339,37 @@ def _cmd_top(args: argparse.Namespace) -> int:
         print(format_top(store, alerts=engine, window_s=args.window))
         return 0
 
-    import tempfile
     import threading
-    import time as _time
 
-    from .serve import ServiceConfig, SolverService
+    with _canned_traffic(
+        args, 2,
+        workers=args.workers,
+        sampling_interval_s=args.sample_interval,
+        alert_rules=rules,
+    ) as traffic:
+        service = traffic.service
+        done = threading.Event()
 
-    problems = [
-        JacobiProblem(n=args.n, iterations=args.iterations + k)
-        for k in range(2)
-    ]
-    knobs = _serve_knobs(args)
-    with tempfile.TemporaryDirectory(prefix="repro-top-") as tmp:
-        config = ServiceConfig(
-            workers=args.workers, jobs=args.jobs, cache=tmp,
-            sampling_interval_s=args.sample_interval, alert_rules=rules,
-        )
-        with SolverService(config) as service:
-            done = threading.Event()
+        def drive() -> None:
+            try:
+                traffic.run(args.tenants, args.requests)
+            finally:
+                done.set()
 
-            def drive() -> None:
-                try:
-                    _serve_traffic(service, args.tenants, args.requests,
-                                   problems, knobs)
-                finally:
-                    done.set()
-
-            thread = threading.Thread(target=drive, daemon=True)
-            thread.start()
-            if not args.once:
-                while not done.wait(args.refresh):
-                    frame = format_top(service.series, alerts=service.alerts,
-                                       window_s=args.window)
-                    if sys.stdout.isatty():
-                        print("\x1b[2J\x1b[H" + frame, flush=True)
-                    else:
-                        print(frame + "\n", flush=True)
-            thread.join()
-            service.sample_now()  # final frame sees the drained queue
-            print(format_top(service.series, alerts=service.alerts,
-                             window_s=args.window))
+        thread = threading.Thread(target=drive, daemon=True)
+        thread.start()
+        if not args.once:
+            while not done.wait(args.refresh):
+                frame = format_top(service.series, alerts=service.alerts,
+                                   window_s=args.window)
+                if sys.stdout.isatty():
+                    print("\x1b[2J\x1b[H" + frame, flush=True)
+                else:
+                    print(frame + "\n", flush=True)
+        thread.join()
+        service.sample_now()  # final frame sees the drained queue
+        print(format_top(service.series, alerts=service.alerts,
+                         window_s=args.window))
     return 0
 
 
@@ -1454,33 +1424,14 @@ def _cmd_stats_serve(args: argparse.Namespace) -> int:
     through a temporary service, reported (and optionally gated)
     through the serving metrics."""
     import json
-    import tempfile
     from pathlib import Path
 
     from .obs import format_serve_summary, regress
-    from .serve import ServiceConfig, SolverService
 
-    tile = None if args.tile == "auto" else args.tile
-    steps = 15 if args.steps == "auto" else args.steps
-    machine = preset(args.machine, nodes=args.nodes)
-    backend = args.backend if args.backend != "sim" else "threads"
-    knobs = dict(impl=args.impl, machine=machine, backend=backend,
-                 jobs=args.jobs)
-    if args.impl != "petsc":
-        knobs.update(tile=tile, ratio=args.ratio)
-        if args.impl == "ca-parsec":
-            knobs["steps"] = steps
-    problems = [
-        JacobiProblem(n=args.n, iterations=args.iterations + k)
-        for k in range(3)
-    ]
-    with tempfile.TemporaryDirectory(prefix="repro-serve-") as tmp:
-        with SolverService(ServiceConfig(workers=2, cache=tmp)) as service:
-            tally = _serve_traffic(service, tenants=2, per_tenant=6,
-                                   problems=problems, knobs=knobs)
-            snapshot = service.metrics.snapshot()
-    print(f"outcomes: {tally['ok']} solved, {tally['cached']} cached, "
-          f"{tally['rejected']} rejected, {tally['failed']} failed")
+    with _canned_traffic(args, 3, workers=2) as traffic:
+        traffic.run(tenants=2, per_tenant=6)
+        snapshot = traffic.service.metrics.snapshot()
+    print(traffic.outcomes())
     print(format_serve_summary(snapshot))
     measured = regress.metrics_from_serve(snapshot)
     if args.write_baseline:
@@ -1496,7 +1447,7 @@ def _cmd_stats_serve(args: argparse.Namespace) -> int:
                                  tolerance=args.tolerance)
         print(report.format())
         return 0 if report.ok else 1
-    return 0 if tally["failed"] == 0 else 1
+    return 0 if traffic.tally["failed"] == 0 else 1
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:

@@ -2,30 +2,25 @@
 
 PaRSEC's profiling system is the instrument the paper's validation
 rests on (Fig. 10's traces, worker occupancy, median kernel times).
-This package is our software-counter equivalent, shared by every
-execution layer:
+This package is our software-counter equivalent:
 
 * :mod:`repro.obs.metrics` -- counters / gauges / histograms in one
-  process-mergeable registry; the sim engine, the threads pool, the
-  procs IPC mesh and the autotuner all emit into it;
-* :mod:`repro.obs.export` -- one serializer for every trace and
-  metric sink: Chrome/Perfetto events, JSON lines, OTel-style spans,
-  Prometheus text exposition;
-* :mod:`repro.obs.monitor` -- live progress of a running backend and
-  post-run summaries (the ``repro monitor`` / ``repro stats`` CLI);
-* :mod:`repro.obs.regress` -- the perf-regression gate comparing a
-  fresh run against recorded BENCH baselines with tolerances;
-* :mod:`repro.obs.lifecycle` -- request-scoped lifecycle spans, the
-  flight recorder and the combined service/execution timeline export;
-* :mod:`repro.obs.slo` -- per-tenant latency percentiles and
-  error-budget burn (the ``repro slo`` report);
-* :mod:`repro.obs.timeseries` -- bounded metric history sampled from
-  a live registry, with derived signals (rates, windowed quantiles,
-  EWMA, MAD z-scores) and a replayable JSONL export;
-* :mod:`repro.obs.alerts` -- declarative threshold / multi-window
-  burn-rate / anomaly rules over the time-series store, with a
-  pending -> firing -> resolved lifecycle and flight-recorder dumps
-  on firing (the ``repro alerts`` / ``repro top`` CLI).
+  process-mergeable registry every execution layer emits into;
+* :mod:`repro.obs.export` -- one serializer per format (Chrome/Perfetto,
+  OTel, JSON lines, Prometheus, flamegraphs) for execution traces and
+  lifecycle spans alike;
+* :mod:`repro.obs.lifecycle` -- request-scoped lifecycle spans, SLO
+  fold-in and the flight recorder;
+* :mod:`repro.obs.timeseries` -- the one sampling loop, bounded metric
+  history and derived signals, with a replayable JSONL export;
+* :mod:`repro.obs.monitor` -- live backend progress on that loop and
+  post-run summaries (``repro monitor`` / ``repro stats`` / ``repro
+  top``);
+* :mod:`repro.obs.alerts` / :mod:`repro.obs.slo` /
+  :mod:`repro.obs.regress` -- alert rules, SLO reports and the
+  perf-regression gate;
+* :mod:`repro.obs.critpath` / :mod:`repro.obs.diff` -- causal
+  critical-path analysis and trace diffs.
 """
 
 from __future__ import annotations
@@ -68,7 +63,6 @@ from .monitor import (
     format_serve_summary,
     format_summary,
     format_top,
-    monitored_run,
 )
 from .regress import (
     RegressReport,
@@ -125,7 +119,6 @@ __all__ = [
     "load_postmortem",
     "load_rules",
     "metrics_from_serve",
-    "monitored_run",
     "parse_rules",
     "publish_critpath_metrics",
     "read_series_jsonl",

@@ -1,41 +1,29 @@
-"""Request-scoped lifecycle tracing, SLO accounting and the flight
+"""Request-scoped lifecycle spans, SLO accounting and the flight
 recorder of the solver service.
-
-Execution-level tracing (:mod:`repro.runtime.trace`) stops at task
-kernels; a request's life through the serve layer -- admission, queue
-wait, batch fusion, dispatch, rewrite passes, execution, retries,
-checkpoint recovery, response -- was invisible except as aggregate
-counters.  This module closes that gap with three cooperating pieces:
 
 * **Lifecycle spans.**  Every admitted :class:`SolveRequest` gets a
   deterministic ``trace_id`` (:func:`request_trace_id`); the service
-  layers emit typed :class:`LifeSpan` records (``admit``,
-  ``cache_probe``, ``queued``, ``batch_fuse``, ``dispatch``,
-  ``ir_passes``, ``execute``, ``retry``, ``recover``, ``respond``)
-  into a :class:`LifecycleTracer`.  Workers -- including forked
+  layers emit :class:`LifeSpan` records (``admit``, ``cache_probe``,
+  ``queued``, ``batch_fuse``, ``dispatch``, ``ir_passes``,
+  ``execute``, ``retry``, ``recover``, ``respond``) into a
+  :class:`LifecycleTracer`.  Workers -- including forked
   ``ProcessWorker`` children -- collect spans into a plain
-  :class:`SpanLog` that ships back over the existing result pipes and
-  is folded in with :meth:`LifecycleTracer.adopt` (``time.monotonic``
+  :class:`SpanLog` that ships back over the result pipes and is
+  folded in with :meth:`LifecycleTracer.adopt` (``time.monotonic``
   is ``CLOCK_MONOTONIC`` on Linux, shared across fork, so child
-  timestamps land on the parent's timeline unadjusted).
+  timestamps land on the parent's timeline unadjusted).  Both build
+  spans through :func:`make_span`.
 
 * **SLO accounting.**  :meth:`LifecycleTracer.finish` folds each
-  completed request into per-tenant latency histograms
-  (``slo_queue_wait_seconds`` / ``slo_exec_seconds`` /
-  ``slo_e2e_seconds``) and a per-tenant/status request counter, the
-  raw material of :mod:`repro.obs.slo` and the ``repro slo`` report.
+  completed request into per-tenant latency histograms and a
+  per-tenant/status request counter (see :mod:`repro.obs.slo`).
 
-* **Flight recorder.**  A bounded ring of lifecycle events, always
-  on; :meth:`FlightRecorder.dump` writes it atomically to disk when
-  the service hits ``WorkerDied`` / ``NodeLostError`` / ``PassError``
-  or exhausts a retry budget, and ``repro postmortem`` renders the
-  dump (:func:`format_postmortem`) as a terminal timeline with blame.
+* **Flight recorder.**  A bounded ring of lifecycle events, dumped
+  atomically on fatal serving errors; ``repro postmortem`` renders a
+  dump with :func:`format_postmortem`.
 
-The export helpers place lifecycle spans and execution-level task
-spans on one timeline: :func:`combined_otel` threads the request's
-``trace_id`` through :func:`repro.obs.export.to_otel` and parents the
-task spans under the request's ``execute`` span;
-:func:`combined_events` does the same for the Chrome viewer.
+The Chrome and OTel serializers live in :mod:`repro.obs.export`;
+:func:`write_timeline` only picks the output paths.
 """
 
 from __future__ import annotations
@@ -63,15 +51,13 @@ LIFECYCLE_KINDS = (
 #: admission control refusing overload is the service working).
 ERROR_STATUSES = ("error", "expired", "skipped")
 
-#: Synthetic Chrome-trace process id of the service-lifecycle lanes
-#: (node pids are small integers; critpath uses tid 9998).
-SERVICE_PID = 9990
-
 #: Document kind of a flight-recorder dump.
 POSTMORTEM_KIND = "repro-postmortem"
 
 
-def _hash(payload: str, nbytes: int) -> str:
+def hex_id(payload: str, nbytes: int) -> str:
+    """Deterministic ``nbytes``-byte hex id of ``payload`` (sha256
+    prefix): every trace and span id in the telemetry exports."""
     return hashlib.sha256(payload.encode()).hexdigest()[: 2 * nbytes]
 
 
@@ -79,12 +65,12 @@ def request_trace_id(signature: str, seq: int) -> str:
     """Deterministic 16-byte trace id of one admitted request: the
     solve signature plus the service-local admission ordinal, so a
     replayed workload reproduces its trace ids exactly."""
-    return _hash(f"{signature}:{seq}", 16)
+    return hex_id(f"{signature}:{seq}", 16)
 
 
 def root_span_id(trace_id: str) -> str:
     """Span id of the implicit ``request`` root span of a trace."""
-    return _hash(f"{trace_id}:request", 8)
+    return hex_id(f"{trace_id}:request", 8)
 
 
 def span_id_for(trace_id: str, origin: str, name: str, index: int) -> str:
@@ -92,7 +78,7 @@ def span_id_for(trace_id: str, origin: str, name: str, index: int) -> str:
     component (service loop vs a named worker -- disjoint counters
     cannot collide), the span kind, and that component's per-trace
     ordinal."""
-    return _hash(f"{trace_id}:{origin}:{name}:{index}", 8)
+    return hex_id(f"{trace_id}:{origin}:{name}:{index}", 8)
 
 
 @dataclass
@@ -124,25 +110,53 @@ class LifeSpan:
             "end": self.end,
             "status": self.status,
             "tenant": self.tenant,
-            "attrs": {
-                k: v for k, v in self.attrs.items()
-                if isinstance(v, (bool, int, float, str)) or v is None
-            },
+            "attrs": self.scalar_attrs(),
         }
 
-    @classmethod
-    def from_doc(cls, doc: Mapping[str, Any]) -> "LifeSpan":
-        return cls(
-            trace_id=str(doc["trace_id"]),
-            span_id=str(doc["span_id"]),
-            parent_span_id=doc.get("parent_span_id"),
-            name=str(doc["name"]),
-            start=float(doc["start"]),
-            end=float(doc["end"]),
-            status=str(doc.get("status", "ok")),
-            tenant=str(doc.get("tenant", "default")),
-            attrs=dict(doc.get("attrs", {})),
-        )
+    def scalar_attrs(self) -> dict[str, Any]:
+        """The JSON-scalar attributes -- what dumps and exports carry."""
+        return {
+            k: v for k, v in self.attrs.items()
+            if isinstance(v, (bool, int, float, str)) or v is None
+        }
+
+
+def make_span(
+    trace_id: str,
+    origin: str,
+    index: int | None,
+    name: str,
+    start: float,
+    end: float,
+    status: str,
+    tenant: str,
+    attrs: dict[str, Any],
+    parent_span_id: str | None = None,
+    span_id: str | None = None,
+) -> LifeSpan:
+    """The one :class:`LifeSpan` constructor.  The id is
+    :func:`span_id_for` of the recording ``origin`` and its per-trace
+    ordinal ``index`` unless pre-allocated (``span_id``); the parent
+    defaults to the trace's root.  The root itself is the span named
+    ``request``: fixed id :func:`root_span_id`, no parent."""
+    if name == "request":
+        span_id, parent_span_id = root_span_id(trace_id), None
+    else:
+        if span_id is None:
+            span_id = span_id_for(trace_id, origin, name, index)
+        if parent_span_id is None:
+            parent_span_id = root_span_id(trace_id)
+    return LifeSpan(
+        trace_id=trace_id,
+        span_id=span_id,
+        parent_span_id=parent_span_id,
+        name=name,
+        start=float(start),
+        end=float(end),
+        status=status,
+        tenant=tenant,
+        attrs=attrs,
+    )
 
 
 class SpanLog:
@@ -181,20 +195,8 @@ class SpanLog:
     ) -> LifeSpan:
         if span_id is None:
             span_id = self.allocate(trace_id, name)
-        sp = LifeSpan(
-            trace_id=trace_id,
-            span_id=span_id,
-            parent_span_id=(
-                parent_span_id if parent_span_id is not None
-                else root_span_id(trace_id)
-            ),
-            name=name,
-            start=float(start),
-            end=float(end),
-            status=status,
-            tenant=tenant,
-            attrs=dict(attrs),
-        )
+        sp = make_span(trace_id, self.origin, None, name, start, end,
+                       status, tenant, attrs, parent_span_id, span_id)
         self.spans.append(sp)
         return sp
 
@@ -422,20 +424,8 @@ class LifecycleTracer:
             entry = self._entry_locked(trace_id)
             index = entry["n"]
             entry["n"] += 1
-            sp = LifeSpan(
-                trace_id=trace_id,
-                span_id=span_id_for(trace_id, "svc", name, index),
-                parent_span_id=(
-                    parent_span_id if parent_span_id is not None
-                    else root_span_id(trace_id)
-                ),
-                name=name,
-                start=float(start),
-                end=float(end),
-                status=status,
-                tenant=entry["tenant"],
-                attrs=dict(attrs),
-            )
+            sp = make_span(trace_id, "svc", index, name, start, end, status,
+                           entry["tenant"], attrs, parent_span_id)
             entry["spans"].append(sp)
         if self.recorder is not None:
             self.recorder.record_span(sp)
@@ -476,29 +466,15 @@ class LifecycleTracer:
                     (s.start for s in entry["spans"]), default=now
                 )
             span_status = "error" if status in ERROR_STATUSES else "ok"
-            respond = LifeSpan(
-                trace_id=trace_id,
-                span_id=span_id_for(trace_id, "svc", "respond", entry["n"]),
-                parent_span_id=root_span_id(trace_id),
-                name="respond",
-                start=now,
-                end=now,
-                status=span_status,
-                tenant=tenant,
-                attrs={"outcome": status},
+            respond = make_span(
+                trace_id, "svc", entry["n"], "respond", now, now,
+                span_status, tenant, {"outcome": status},
             )
             entry["n"] += 1
-            root = LifeSpan(
-                trace_id=trace_id,
-                span_id=root_span_id(trace_id),
-                parent_span_id=None,
-                name="request",
-                start=t_admit,
-                end=now,
-                status=span_status,
-                tenant=tenant,
-                attrs={"outcome": status,
-                       "signature": entry["signature"][:16]},
+            root = make_span(
+                trace_id, "svc", None, "request", t_admit, now, span_status,
+                tenant, {"outcome": status,
+                         "signature": entry["signature"][:16]},
             )
             entry["spans"].extend((respond, root))
             queue_wait = sum(
@@ -523,11 +499,6 @@ class LifecycleTracer:
 
     # -- introspection ---------------------------------------------------
 
-    def tenant_of(self, trace_id: str) -> str:
-        with self._lock:
-            entry = self._traces.get(trace_id)
-            return entry["tenant"] if entry else "default"
-
     def spans_of(self, trace_id: str) -> list[LifeSpan]:
         with self._lock:
             entry = self._traces.get(trace_id)
@@ -549,217 +520,6 @@ class LifecycleTracer:
             return len(self._traces)
 
 
-# ---------------------------------------------------------------------------
-# combined timeline exports (lifecycle + execution-level Trace)
-# ---------------------------------------------------------------------------
-
-
-def _execute_span(spans: Iterable[LifeSpan], trace_id: str) -> LifeSpan | None:
-    """The (latest) ``execute`` span of one trace -- the parent the
-    execution-level task spans hang under."""
-    found = None
-    for sp in spans:
-        if sp.trace_id == trace_id and sp.name == "execute":
-            if found is None or sp.start >= found.start:
-                found = sp
-    return found
-
-
-def _time_origin(spans: list[LifeSpan], time_origin: float | None) -> float:
-    if time_origin is not None:
-        return time_origin
-    return min((s.start for s in spans), default=0.0)
-
-
-def lifecycle_events(
-    spans: Iterable[LifeSpan],
-    time_origin: float | None = None,
-) -> list[dict[str, Any]]:
-    """Chrome trace events of the lifecycle spans: one synthetic
-    process (:data:`SERVICE_PID`), one lane per trace, timestamps
-    relative to the earliest span (or ``time_origin``)."""
-    spans = sorted(spans, key=lambda s: (s.start, s.end))
-    if not spans:
-        return []
-    origin = _time_origin(spans, time_origin)
-    events: list[dict[str, Any]] = [{
-        "ph": "M", "name": "process_name", "pid": SERVICE_PID,
-        "args": {"name": "serve lifecycle"},
-    }]
-    lanes: dict[str, int] = {}
-    for sp in spans:
-        lane = lanes.get(sp.trace_id)
-        if lane is None:
-            lane = len(lanes) + 1
-            lanes[sp.trace_id] = lane
-            events.append({
-                "ph": "M", "name": "thread_name", "pid": SERVICE_PID,
-                "tid": lane,
-                "args": {"name": f"{sp.tenant} {sp.trace_id[:8]}"},
-            })
-        args: dict[str, Any] = {
-            "trace_id": sp.trace_id,
-            "span_id": sp.span_id,
-            "status": sp.status,
-        }
-        if sp.parent_span_id:
-            args["parent_span_id"] = sp.parent_span_id
-        for key, value in sp.attrs.items():
-            if isinstance(value, (bool, int, float, str)) or value is None:
-                args[key] = value
-        events.append({
-            "ph": "X",
-            "name": sp.name,
-            "cat": "lifecycle",
-            "pid": SERVICE_PID,
-            "tid": lane,
-            "ts": (sp.start - origin) * 1e6,
-            "dur": sp.duration * 1e6,
-            "args": args,
-        })
-    return events
-
-
-def combined_events(
-    spans: Iterable[LifeSpan],
-    exec_traces: Mapping[str, Any] | None = None,
-    time_origin: float | None = None,
-) -> list[dict[str, Any]]:
-    """One Chrome timeline: lifecycle lanes plus each request's
-    execution-level task spans (``exec_traces`` maps trace_id ->
-    :class:`~repro.runtime.trace.Trace`), the latter shifted to start
-    at the request's ``execute`` span so queue wait and task kernels
-    share one clock."""
-    from .export import to_events
-
-    spans = sorted(spans, key=lambda s: (s.start, s.end))
-    events = lifecycle_events(spans, time_origin=time_origin)
-    if not spans or not exec_traces:
-        return events
-    origin = _time_origin(spans, time_origin)
-    for trace_id, trace in exec_traces.items():
-        anchor = _execute_span(spans, trace_id)
-        if anchor is None or trace is None:
-            continue
-        shift = (anchor.start - origin) * 1e6
-        for ev in to_events(trace):
-            ev = dict(ev)
-            if "ts" in ev:
-                ev["ts"] = ev["ts"] + shift
-            args = dict(ev.get("args") or {})
-            args["trace_id"] = trace_id
-            ev["args"] = args
-            events.append(ev)
-    return events
-
-
-def lifecycle_otel(
-    spans: Iterable[LifeSpan],
-    service_name: str = "repro-serve",
-    epoch_unix_nanos: int = 0,
-    time_origin: float | None = None,
-) -> dict[str, Any]:
-    """The lifecycle spans as an OTLP/JSON trace document.  Span and
-    trace ids are the deterministic ids recorded on the spans, so
-    re-exports (and the Chrome export's ``args``) correlate exactly."""
-    spans = sorted(spans, key=lambda s: (s.trace_id, s.start, s.end))
-    origin = _time_origin(spans, time_origin)
-    out = []
-    for sp in spans:
-        attributes = [
-            {"key": "tenant", "value": {"stringValue": sp.tenant}},
-            {"key": "status", "value": {"stringValue": sp.status}},
-        ]
-        for key, value in sorted(sp.attrs.items()):
-            if isinstance(value, bool):
-                attributes.append(
-                    {"key": key, "value": {"boolValue": value}}
-                )
-            elif isinstance(value, int):
-                attributes.append(
-                    {"key": key, "value": {"intValue": str(value)}}
-                )
-            elif isinstance(value, float):
-                attributes.append(
-                    {"key": key, "value": {"doubleValue": value}}
-                )
-            elif isinstance(value, str):
-                attributes.append(
-                    {"key": key, "value": {"stringValue": value}}
-                )
-        status: dict[str, Any] = {}
-        if sp.status != "ok":
-            status = {"code": 2, "message": str(sp.attrs.get("error", sp.status))}
-        span_doc = {
-            "traceId": sp.trace_id,
-            "spanId": sp.span_id,
-            "name": sp.name,
-            "kind": 1,  # SPAN_KIND_INTERNAL
-            "startTimeUnixNano": str(
-                epoch_unix_nanos + int((sp.start - origin) * 1e9)
-            ),
-            "endTimeUnixNano": str(
-                epoch_unix_nanos + int((sp.end - origin) * 1e9)
-            ),
-            "attributes": attributes,
-            "status": status,
-        }
-        if sp.parent_span_id:
-            span_doc["parentSpanId"] = sp.parent_span_id
-        out.append(span_doc)
-    return {
-        "resourceSpans": [{
-            "resource": {
-                "attributes": [{
-                    "key": "service.name",
-                    "value": {"stringValue": service_name},
-                }],
-            },
-            "scopeSpans": [{
-                "scope": {"name": "repro.obs.lifecycle", "version": "1"},
-                "spans": out,
-            }],
-        }],
-    }
-
-
-def combined_otel(
-    spans: Iterable[LifeSpan],
-    exec_traces: Mapping[str, Any] | None = None,
-    service_name: str = "repro-serve",
-    epoch_unix_nanos: int = 0,
-    time_origin: float | None = None,
-) -> dict[str, Any]:
-    """One OTel document: the lifecycle spans plus, per request with a
-    captured execution :class:`Trace`, the task-level spans exported
-    under the *same* ``trace_id`` with their ``parentSpanId`` set to
-    the request's ``execute`` span -- the acceptance shape: queue wait
-    and task kernels in one trace tree."""
-    from .export import to_otel
-
-    spans = sorted(spans, key=lambda s: (s.trace_id, s.start, s.end))
-    origin = _time_origin(spans, time_origin)
-    doc = lifecycle_otel(
-        spans, service_name=service_name,
-        epoch_unix_nanos=epoch_unix_nanos, time_origin=origin,
-    )
-    for trace_id, trace in (exec_traces or {}).items():
-        anchor = _execute_span(spans, trace_id)
-        if anchor is None or trace is None:
-            continue
-        child = to_otel(
-            trace,
-            service_name=service_name,
-            epoch_unix_nanos=(
-                epoch_unix_nanos + int((anchor.start - origin) * 1e9)
-            ),
-            trace_id=trace_id,
-            parent_span_id=anchor.span_id,
-        )
-        doc["resourceSpans"].extend(child["resourceSpans"])
-    return doc
-
-
 def write_timeline(
     spans: Iterable[LifeSpan],
     exec_traces: Mapping[str, Any] | None = None,
@@ -767,22 +527,23 @@ def write_timeline(
     otel_path: str | Path | None = None,
     service_name: str = "repro-serve",
 ) -> dict[str, str]:
-    """Write the combined timeline in the requested formats; returns
-    ``{format: path}`` for what was written."""
+    """Write the lifecycle spans (plus each request's execution trace in
+    ``exec_traces``) as a Chrome and/or an OTel timeline through
+    :mod:`repro.obs.export`; returns ``{format: path}`` for what was
+    written."""
+    from .export import dumps, to_otel
+
     spans = list(spans)
     written: dict[str, str] = {}
     if chrome_path is not None:
-        with open(chrome_path, "w") as fh:
-            json.dump({
-                "traceEvents": combined_events(spans, exec_traces),
-                "displayTimeUnit": "ms",
-            }, fh)
+        Path(chrome_path).write_text(
+            dumps(spans=spans, exec_traces=exec_traces)
+        )
         written["chrome"] = str(chrome_path)
     if otel_path is not None:
-        with open(otel_path, "w") as fh:
-            json.dump(combined_otel(
-                spans, exec_traces, service_name=service_name,
-            ), fh)
+        Path(otel_path).write_text(json.dumps(to_otel(
+            spans=spans, exec_traces=exec_traces, service_name=service_name,
+        )))
         written["otel"] = str(otel_path)
     return written
 
@@ -869,14 +630,11 @@ __all__ = [
     "LifeSpan",
     "LifecycleTracer",
     "POSTMORTEM_KIND",
-    "SERVICE_PID",
     "SpanLog",
-    "combined_events",
-    "combined_otel",
     "format_postmortem",
-    "lifecycle_events",
-    "lifecycle_otel",
+    "hex_id",
     "load_postmortem",
+    "make_span",
     "request_trace_id",
     "root_span_id",
     "span_id_for",

@@ -14,27 +14,27 @@ three backends expose ``progress()``:
   (per-task progress lives inside the children).
 
 The monitor attaches through :func:`repro.core.runner.run`'s
-``on_executor`` hook, which fires just before the run starts::
+``on_executor`` hook, which fires just before the run starts, and
+samples on the same loop as
+:class:`~repro.obs.timeseries.TelemetrySampler`::
 
     mon = RunMonitor(interval=0.5)
     result = run(problem, ..., on_executor=mon.attach)
     mon.stop()
 
-or in one line via :func:`monitored_run`.  The CLI face is
-``repro monitor`` / ``repro stats`` (see :mod:`repro.cli`).
+The CLI face is ``repro monitor`` / ``repro stats`` (see
+:mod:`repro.cli`).
 """
 
 from __future__ import annotations
 
-import sys
-import threading
-from typing import Any, Callable, TextIO
+from typing import Any, TextIO
 
 from .metrics import MetricsSnapshot
+from .timeseries import PeriodicSampler
 
 __all__ = [
     "RunMonitor",
-    "monitored_run",
     "format_sample",
     "format_serve_summary",
     "format_summary",
@@ -74,16 +74,18 @@ def format_sample(p: dict[str, Any], census_messages: int | None = None) -> str:
     return "  ".join(parts) if parts else "(no progress data)"
 
 
-class RunMonitor:
+class RunMonitor(PeriodicSampler):
     """Poll a live backend's ``progress()`` periodically.
 
     ``attach(executor)`` is shaped to be passed directly as the
-    runner's ``on_executor`` callback: it remembers the target and
+    runner's ``on_executor`` callback: it targets the executor and
     starts the sampling thread.  ``stop()`` halts sampling and takes
     one final sample so short runs still record something.  Samples
     accumulate in :attr:`samples`; when ``stream`` is given each is
     also rendered there as it is taken.
     """
+
+    thread_name = "repro-monitor"
 
     def __init__(
         self,
@@ -91,77 +93,27 @@ class RunMonitor:
         stream: TextIO | None = None,
         census_messages: int | None = None,
     ) -> None:
-        if interval <= 0:
-            raise ValueError(f"interval must be positive, got {interval}")
+        super().__init__(interval)
         self.interval = interval
         self.stream = stream
         self.census_messages = census_messages
         self.samples: list[dict[str, Any]] = []
-        self._target: Any = None
-        self._thread: threading.Thread | None = None
-        self._stop = threading.Event()
 
     def attach(self, executor: Any) -> None:
         """Start monitoring ``executor`` (anything with ``progress()``)."""
-        self._target = executor
-        self._stop.clear()
-        self._thread = threading.Thread(
-            target=self._loop, name="repro-monitor", daemon=True
-        )
-        self._thread.start()
+        self.progress = executor.progress
+        self.start()
 
     def sample(self) -> dict[str, Any] | None:
         """Take one sample now; returns it (or ``None`` if unavailable)."""
-        target = self._target
-        if target is None:
+        p = self.poll()
+        if p is None:
             return None
-        try:
-            p = target.progress()
-        except Exception:
-            return None  # the run may be tearing down under us
         self.samples.append(p)
         if self.stream is not None:
             print(format_sample(p, self.census_messages),
                   file=self.stream, flush=True)
         return p
-
-    def _loop(self) -> None:
-        while not self._stop.wait(self.interval):
-            self.sample()
-
-    def stop(self) -> None:
-        """Stop the sampler thread and take a final sample."""
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            self._thread = None
-        self.sample()
-
-    def __enter__(self) -> "RunMonitor":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.stop()
-
-
-def monitored_run(
-    run_fn: Callable[..., Any],
-    *args: Any,
-    interval: float = 0.5,
-    stream: TextIO | None = None,
-    **kwargs: Any,
-):
-    """Call ``run_fn(*args, on_executor=..., **kwargs)`` under a live
-    monitor; returns ``(result, monitor)``.  ``stream`` defaults to
-    stderr so status lines never pollute piped stdout."""
-    monitor = RunMonitor(
-        interval=interval, stream=sys.stderr if stream is None else stream
-    )
-    try:
-        result = run_fn(*args, on_executor=monitor.attach, **kwargs)
-    finally:
-        monitor.stop()
-    return result, monitor
 
 
 def format_summary(

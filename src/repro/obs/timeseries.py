@@ -43,6 +43,7 @@ import time
 from collections import deque
 from pathlib import Path
 from typing import Any, Callable, Mapping
+from urllib.parse import unquote
 
 from .critpath import robust_scores
 from .metrics import (
@@ -55,6 +56,7 @@ from .metrics import (
 )
 
 __all__ = [
+    "PeriodicSampler",
     "SERIES_KIND",
     "TelemetrySampler",
     "TimeSeriesStore",
@@ -66,15 +68,21 @@ __all__ = [
 SERIES_KIND = "repro-timeseries"
 
 
+def _escape_label(text: str) -> str:
+    """Percent-escape the characters the label string uses as syntax
+    (plain labels pass through unchanged)."""
+    return text.replace("%", "%25").replace(",", "%2C").replace("=", "%3D")
+
+
 def _label_str(ls: LabelSet) -> str:
-    return ",".join(f"{k}={v}" for k, v in ls)
+    return ",".join(f"{_escape_label(k)}={_escape_label(v)}" for k, v in ls)
 
 
 def _parse_label_str(label_str: str) -> LabelSet:
     if not label_str:
         return ()
     return tuple(
-        tuple(part.split("=", 1))  # type: ignore[return-value]
+        tuple(unquote(field) for field in part.split("=", 1))  # type: ignore[misc]
         for part in label_str.split(",")
     )
 
@@ -547,62 +555,52 @@ def read_series_jsonl(
     return header, samples
 
 
-class TelemetrySampler:
-    """Background thread snapshotting a registry into a store.
-
-    All scheduling is monotonic (``threading.Event.wait`` on a fixed
-    interval); the optional ``progress`` callable's numeric fields are
-    recorded as ``live_<key>`` gauge series; ``on_sample(t)`` fires
-    after each sample lands -- the service hangs alert evaluation off
-    it so alerting shares the store's clock.  ``stop()`` joins the
-    thread and takes one final sample so short runs still record their
-    terminal state.
+class PeriodicSampler:
+    """The one sampling loop: a daemon thread calling :meth:`sample`
+    every ``interval_s`` on a monotonic schedule
+    (``threading.Event.wait``).  ``stop()`` joins the thread and takes
+    one final sample so short runs still record their terminal state.
+    :meth:`poll` reads the ``progress`` callable, surviving a target
+    that is tearing down.  :class:`TelemetrySampler` and
+    :class:`~repro.obs.monitor.RunMonitor` differ only in what one
+    sample does with the reading.
     """
+
+    thread_name = "repro-sampler"
 
     def __init__(
         self,
-        registry: MetricRegistry,
-        store: TimeSeriesStore,
-        interval_s: float = 1.0,
+        interval_s: float,
         progress: Callable[[], Mapping[str, Any]] | None = None,
-        on_sample: Callable[[float], None] | None = None,
     ) -> None:
         if interval_s <= 0:
             raise ValueError(
                 f"interval must be positive, got {interval_s}"
             )
-        self.registry = registry
-        self.store = store
         self.interval_s = interval_s
         self.progress = progress
-        self.on_sample = on_sample
         self._thread: threading.Thread | None = None
         self._stop = threading.Event()
 
-    def sample(self) -> float | None:
-        """Take one sample now; returns its time (None if the store
-        refused it -- e.g. a same-instant duplicate at shutdown)."""
-        snapshot = self.registry.snapshot()
-        live = None
-        if self.progress is not None:
-            try:
-                live = self.progress()
-            except Exception:
-                live = None  # the service may be tearing down under us
-        try:
-            t = self.store.observe(snapshot, live=live)
-        except ValueError:
-            return None
-        if self.on_sample is not None:
-            self.on_sample(t)
-        return t
+    def sample(self) -> Any:
+        raise NotImplementedError
 
-    def start(self) -> "TelemetrySampler":
+    def poll(self) -> Mapping[str, Any] | None:
+        """One ``progress()`` reading (None without a target, or when
+        the target raised -- it may be tearing down under us)."""
+        if self.progress is None:
+            return None
+        try:
+            return self.progress()
+        except Exception:
+            return None
+
+    def start(self) -> "PeriodicSampler":
         if self._thread is not None:
             return self
         self._stop.clear()
         self._thread = threading.Thread(
-            target=self._loop, name="repro-sampler", daemon=True
+            target=self._loop, name=self.thread_name, daemon=True
         )
         self._thread.start()
         return self
@@ -619,8 +617,43 @@ class TelemetrySampler:
             self._thread = None
         self.sample()
 
-    def __enter__(self) -> "TelemetrySampler":
+    def __enter__(self) -> "PeriodicSampler":
         return self.start()
 
     def __exit__(self, *exc: object) -> None:
         self.stop()
+
+
+class TelemetrySampler(PeriodicSampler):
+    """Background thread snapshotting a registry into a store.
+
+    The optional ``progress`` callable's numeric fields are recorded
+    as ``live_<key>`` gauge series; ``on_sample(t)`` fires after each
+    sample lands -- the service hangs alert evaluation off it so
+    alerting shares the store's clock.
+    """
+
+    def __init__(
+        self,
+        registry: MetricRegistry,
+        store: TimeSeriesStore,
+        interval_s: float = 1.0,
+        progress: Callable[[], Mapping[str, Any]] | None = None,
+        on_sample: Callable[[float], None] | None = None,
+    ) -> None:
+        super().__init__(interval_s, progress)
+        self.registry = registry
+        self.store = store
+        self.on_sample = on_sample
+
+    def sample(self) -> float | None:
+        """Take one sample now; returns its time (None if the store
+        refused it -- e.g. a same-instant duplicate at shutdown)."""
+        snapshot = self.registry.snapshot()
+        try:
+            t = self.store.observe(snapshot, live=self.poll())
+        except ValueError:
+            return None
+        if self.on_sample is not None:
+            self.on_sample(t)
+        return t

@@ -77,6 +77,21 @@ def test_prometheus_exposition():
     assert "dur_seconds_count 1" in text
 
 
+def test_prometheus_escapes_label_values_and_help():
+    # A tenant is client input that becomes a label value; the text
+    # format needs backslash, double quote and newline escaped there
+    # (and backslash and newline in HELP) or the exposition breaks.
+    reg = MetricRegistry()
+    reg.counter("serve_jobs_submitted_total",
+                help="per tenant\nC:\\path").inc(tenant='ev"il\nx\\y')
+    lines = prometheus_text(reg.snapshot()).splitlines()
+    assert lines == [
+        "# HELP serve_jobs_submitted_total per tenant\\nC:\\\\path",
+        "# TYPE serve_jobs_submitted_total counter",
+        'serve_jobs_submitted_total{tenant="ev\\"il\\nx\\\\y"} 1',
+    ]
+
+
 def test_jsonl_round_trip():
     lines = spans_jsonl(_trace()).splitlines()
     assert len(lines) == 4

@@ -15,10 +15,7 @@ from repro.obs.lifecycle import (
     FlightRecorder,
     LifecycleTracer,
     SpanLog,
-    combined_events,
-    combined_otel,
     format_postmortem,
-    lifecycle_events,
     load_postmortem,
     request_trace_id,
     root_span_id,
@@ -26,7 +23,7 @@ from repro.obs.lifecycle import (
     write_timeline,
 )
 from repro.obs.metrics import MetricRegistry
-from repro.obs.export import build_trace
+from repro.obs.export import build_trace, to_events, to_otel
 
 SIG = "a" * 64
 
@@ -248,7 +245,7 @@ def test_combined_otel_hangs_exec_spans_under_the_execute_span():
     tracer = LifecycleTracer()
     tid, trace = _traced_request(tracer, 1)
     spans = tracer.all_spans()
-    doc = combined_otel(spans, {tid: trace})
+    doc = to_otel(spans=spans, exec_traces={tid: trace})
     life = doc["resourceSpans"][0]["scopeSpans"][0]["spans"]
     exec_span = next(s for s in life if s["name"] == "execute")
     assert {s["traceId"] for s in life} == {tid}
@@ -273,12 +270,12 @@ def test_combined_chrome_and_otel_share_trace_ids(tmp_path):
     tracer = LifecycleTracer()
     tid, trace = _traced_request(tracer, 2)
     spans = tracer.all_spans()
-    events = combined_events(spans, {tid: trace})
+    events = to_events(spans=spans, exec_traces={tid: trace})
     chrome_tids = {
         e["args"]["trace_id"] for e in events
         if e.get("ph") == "X" and "trace_id" in e.get("args", {})
     }
-    otel = combined_otel(spans, {tid: trace})
+    otel = to_otel(spans=spans, exec_traces={tid: trace})
     otel_tids = {
         s["traceId"]
         for block in otel["resourceSpans"]
@@ -311,7 +308,7 @@ def test_lifecycle_events_one_lane_per_trace():
         tid = tracer.begin(SIG, seq, t_admit=0.0)
         tracer.span(tid, "admit", 0.0, 0.01)
         tracer.finish(tid, "ok", now=0.1)
-    events = lifecycle_events(tracer.all_spans())
+    events = to_events(spans=tracer.all_spans())
     lanes = {e["tid"] for e in events if e.get("ph") == "X"}
     assert len(lanes) == 2
     names = [e["args"]["name"] for e in events

@@ -217,6 +217,28 @@ def test_jsonl_round_trip_is_byte_identical(tmp_path):
     )
 
 
+def test_jsonl_round_trip_keeps_label_sets_with_separator_characters(
+    tmp_path,
+):
+    # Label values are client input (tenants): commas, equals signs
+    # and percent signs must survive export + reload unchanged, so a
+    # replay sees the same series the live run recorded.
+    reg = MetricRegistry()
+    odd = ("a,b", "k=v", "50%", "%2C", "plain")
+    for tenant in odd:
+        reg.counter("slo_requests_total").inc(tenant=tenant, status="ok")
+    store = TimeSeriesStore(capacity=4)
+    store.observe(reg.snapshot(), t=1.0, wall=1.0)
+    path = store.to_jsonl(tmp_path / "series.jsonl")
+    rebuilt = TimeSeriesStore.from_jsonl(path)
+    assert rebuilt.labelsets("slo_requests_total") == store.labelsets(
+        "slo_requests_total"
+    )
+    assert rebuilt.latest("slo_requests_total", tenant="a,b",
+                          status="ok") == 1.0
+    assert '"status=ok,tenant=plain": 1' in path.read_text()
+
+
 def test_read_series_jsonl_rejects_foreign_files(tmp_path):
     bogus = tmp_path / "x.jsonl"
     bogus.write_text('{"kind": "something-else"}\n')
