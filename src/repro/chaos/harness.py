@@ -82,6 +82,9 @@ class ChaosContext:
         self.base = int(base)
         self.checkpoint_every = checkpoint_every
         self.backend: str | None = None
+        # (sweep, node) of the kill that fired: later sweeps are
+        # halted while the thread pool drains the earlier ones (_die).
+        self._lost: tuple[int, int] | None = None
 
     # -- runner hook ----------------------------------------------------
 
@@ -125,8 +128,14 @@ class ChaosContext:
 
         def chaotic_kernel(inputs, task):
             if gt is not None:
+                lost = self._lost
+                if lost is not None and gt >= lost[0]:
+                    raise NodeLostError(
+                        f"sweep {gt} halted: node {lost[1]} was lost at "
+                        f"sweep {lost[0]}", node=lost[1],
+                    )
                 if inj.kill_action(node, gt) is not None:
-                    self._die(node)
+                    self._die(node, gt)
                 if backend() != "sim":
                     extra = inj.sleep_for(node, gt)
                     if extra > 0:
@@ -142,12 +151,20 @@ class ChaosContext:
 
         return chaotic_kernel
 
-    def _die(self, node: int):
+    def _die(self, node: int, gt: int):
         """Lose the node the way the backend would really lose it:
         hard process death on the process mesh (the parent's watcher
-        reports it), a raised :class:`NodeLostError` elsewhere."""
+        reports it), a raised :class:`NodeLostError` elsewhere.
+
+        The kill takes effect at the boundary of sweep ``gt``, as on
+        the simulator's clock: the thread pool drains after a lost
+        node, finishing every node's sweeps before ``gt`` (so the
+        checkpoint the kill sits on completes) while later sweeps are
+        halted."""
         if self.backend == "processes":
             os._exit(KILL_EXIT_CODE)
+        if self._lost is None or gt < self._lost[0]:
+            self._lost = (gt, node)
         step = None
         if self.store is not None:
             try:

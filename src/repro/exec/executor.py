@@ -11,6 +11,10 @@ PaRSEC's per-core queues):
   (:mod:`repro.exec.policies` selects the discipline); newly-ready
   consumers land on the completing worker's queue (cache locality);
 * one mutex around the flow state -- kernels run outside it;
+* node loss: a :class:`~repro.runtime.flow.NodeLostError` does not
+  freeze the pool mid-stride -- the workers drain whatever work can
+  still run (tasks that fail meanwhile are dropped) and the loss is
+  reported once they starve, so checkpoints already in flight land;
 * the wall-clock recorder, run handle, futures and cancellation.
 
 The report *is* an :class:`~repro.runtime.engine.EngineReport`,
@@ -26,7 +30,9 @@ from dataclasses import dataclass, field
 from ..obs import trace_validation_enabled
 from ..obs.metrics import MetricRegistry, MetricsSnapshot
 from ..runtime.engine import EngineReport
-from ..runtime.flow import FlowState, KernelError, publish_counts, run_kernel
+from ..runtime.flow import (
+    FlowState, KernelError, NodeLostError, publish_counts, run_kernel,
+)
 from ..runtime.graph import TaskGraph
 from ..runtime.task import Task
 from .futures import RunCancelled, RunHandle, TaskRecord
@@ -146,6 +152,9 @@ class ThreadedExecutor:
         self._unfinished = len(self.graph)
         self._steals = 0
         self._failure: BaseException | None = None
+        # Set when the first failure is a lost node: keep draining.
+        self._draining = False
+        self._inflight = 0
         self._cancelled = False
         self._started = False
 
@@ -332,7 +341,9 @@ class ThreadedExecutor:
         """Pop local work, steal, or sleep; ``None`` means shut down."""
         with self._work_ready:
             while True:
-                if self._failure is not None or self._cancelled:
+                if self._cancelled or (
+                    self._failure is not None and not self._draining
+                ):
                     return None
                 task = self._queues.pop_local(wid)
                 if task is None:
@@ -340,8 +351,12 @@ class ThreadedExecutor:
                     if task is not None:
                         self._steals += 1
                 if task is not None:
+                    self._inflight += 1
                     return task
-                if self._unfinished == 0:
+                if self._unfinished == 0 or (
+                    self._draining and self._inflight == 0
+                ):
+                    self._work_ready.notify_all()
                     return None
                 self._work_ready.wait()
 
@@ -366,9 +381,13 @@ class ThreadedExecutor:
                         f"failed: {exc}"
                     )
                 with self._work_ready:
+                    self._inflight -= 1
                     if self._failure is None:
                         self._failure = exc
+                        self._draining = isinstance(exc, NodeLostError)
                     self._work_ready.notify_all()
+                    if self._draining:
+                        continue  # drop the task, keep draining
                 return
             recorder.record(wid, task.kind, start, end, task.key, task_id=task.key)
             handle = self._handle
@@ -398,10 +417,13 @@ class ThreadedExecutor:
             self._flow.publish(task, outputs)
             self._completed.add(task.key)
             self._unfinished -= 1
+            self._inflight -= 1
             ready = self._flow.release(task.key)
             for consumer in ready:
                 self._queues.push(wid, consumer)
-            if ready or self._unfinished == 0:
+            if ready or self._unfinished == 0 or (
+                self._draining and self._inflight == 0
+            ):
                 self._work_ready.notify_all()
 
 
